@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-import mpmath
 import numpy as np
 
 from .dist_core import MomentSequence
@@ -153,10 +152,6 @@ def _stable_generic(ms: MomentSequence, n: int, kmin: int, tol: float,
     return SumResult(value=total, tail_bound=bound, terms_used=J, method="moment-space")
 
 
-def _log_comb(n: int, k: int) -> float:
-    return math.lgamma(n + 1.0) - math.lgamma(k + 1.0) - math.lgamma(n - k + 1.0)
-
-
 def _stable_power_law(ms: MomentSequence, n: int, kmin: int, tol: float,
                       terms: int | None) -> SumResult:
     pl = ms.power_law
@@ -177,16 +172,26 @@ def _stable_power_law(ms: MomentSequence, n: int, kmin: int, tol: float,
         # stopping when the next Bonferroni envelope is negligible
         total = direct
         em_err = 0.0
+        corr_rounding = 0.0
         k = kmin
         remainder = math.inf
         start = J + 1.0 + shift
         log_l = math.log(L)
         while k <= min(n, _MAX_CORRECTION_ORDER):
             t, terr = power_tail_sum(alpha * k, start)
+            # log C(n,k) from the exact integer: an lgamma difference is off by
+            # ~log(n!) eps, which the order-2 correction (up to ~1e4) turns
+            # into an error above the certified bound at n >= 1e4
+            log_w = math.log(math.comb(n, k)) + k * log_l
             if t > 0.0:
-                total += (-1.0) ** k * math.exp(_log_comb(n, k) + k * log_l + math.log(t))
+                log_t = math.log(t)
+                corr = math.exp(log_w + log_t)
+                total += (-1.0) ** k * corr
+                # exp turns the absolute rounding of its argument, a few eps
+                # times the magnitudes summed into it, into relative error
+                corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0)
             if terr > 0.0:
-                em_err += math.exp(_log_comb(n, k) + k * log_l + math.log(terr))
+                em_err += math.exp(log_w + math.log(terr))
             if k == n:
                 remainder = 0.0
                 break
@@ -195,13 +200,13 @@ def _stable_power_law(ms: MomentSequence, n: int, kmin: int, tol: float,
                 remainder = 0.0
                 break
             remainder = math.exp(
-                _log_comb(n, k + 1) + (k + 1) * log_l + math.log(nt + nterr)
+                math.log(math.comb(n, k + 1)) + (k + 1) * log_l + math.log(nt + nterr)
             )
             if remainder < tol * 0.05:
                 break
             k += 1
         if remainder < tol * 0.05 or terms is not None or J >= _POWER_LAW_J_CAP:
-            bound = remainder + em_err + 8.0 * _EPS * (abs_acc + n)
+            bound = remainder + em_err + 8.0 * _EPS * (abs_acc + n) + _EPS * corr_rounding
             return SumResult(value=total, tail_bound=bound, terms_used=J,
                              method="moment-space+tail-corrections")
         J = min(J * 4, _POWER_LAW_J_CAP)
@@ -240,18 +245,24 @@ def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
     return _stable_generic(ms, n, kmin, tol, terms)
 
 
-def riemann_zeta_source() -> Callable[[int], mpmath.mpf]:
+def riemann_zeta_source() -> Callable[[int], object]:
     """Z(k) = zeta(k); evaluate inside the oracle's precision context."""
+    import mpmath
+
     return lambda k: mpmath.zeta(k)
 
 
-def scaled_riemann_zeta_source(s: float) -> Callable[[int], mpmath.mpf]:
+def scaled_riemann_zeta_source(s: float) -> Callable[[int], object]:
     """Z(k) = zeta(s k) for the scaled sequence m_j = j^(-s)."""
+    import mpmath
+
     return lambda k: mpmath.zeta(mpmath.mpf(s) * k)
 
 
-def uniform_zeta_source() -> Callable[[int], mpmath.mpf]:
+def uniform_zeta_source() -> Callable[[int], object]:
     """Z(k) = zeta(k) - 1 for the uniform-distribution moments m_j = 1/(j+1)."""
+    import mpmath
+
     return lambda k: mpmath.zeta(k) - 1
 
 
@@ -273,6 +284,8 @@ def alt_sum_naive(n: int, kmin: int, zeta_source: Callable[[int], object],
         raise PrecisionExhausted(
             f"n={n} exceeds the configured cap {max_n} for the {n + 64}-bit contract"
         )
+    import mpmath
+
     with mpmath.workprec(n + 64):
         total = mpmath.mpf(0)
         for k in range(kmin, n + 1):

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
-from scipy.special import gammaln
 
 from .errors import InvalidTail, MissingEdgeData, QuadratureFailure
 from .special import gamma_fn
@@ -194,6 +192,8 @@ class BetaEdge(EdgeDistribution):
     def moments(self, k) -> np.ndarray:
         # m_k = c * B(k+1, beta+1), evaluated through log-gammas so large k
         # neither overflows nor loses the leading behaviour.
+        from scipy.special import gammaln
+
         k = np.asarray(k, dtype=np.float64)
         return self.c * np.exp(
             gammaln(self.beta + 1.0) + gammaln(k + 1.0) - gammaln(k + self.beta + 2.0)
@@ -371,6 +371,7 @@ def moment_quadrature(dist: EdgeDistribution, k: int, tol: float = 1e-12) -> flo
     x^k concentration are both resolved.
     """
     _check_order(k)
+    from scipy import integrate
 
     def integrand(u: float) -> float:
         return (1.0 - u) ** k * float(dist.pdf(np.array([1.0 - u]))[0])

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .special import harmonic
 
@@ -84,6 +83,8 @@ def defect_direct(n: int, big_n: int) -> float:
     if big_n >= 4 * n:
         i_val = _integral_closed_form(n, big_n)
     else:
+        from scipy import integrate
+
         i_val, _ = integrate.quad(
             lambda x: math.exp(n * math.log1p(-1.0 / x)), 1.0, float(big_n),
             epsabs=1e-12, epsrel=1e-12, limit=400,

@@ -126,6 +126,18 @@ def test_stable_refinement_within_previous_bound():
     assert abs(fine.value - coarse.value) <= coarse.tail_bound
 
 
+@pytest.mark.parametrize("dist", [PowerMoments(1.0), Uniform()], ids=["riemann", "uniform"])
+@pytest.mark.parametrize("n", [10_000, 100_000])
+def test_power_law_refinement_within_bounds_at_large_n(dist, n):
+    # the order-2 tail correction is 1e2-1e4 here, so binomial weights that
+    # are not exact to a few eps push the two cuts apart by more than their
+    # certified bounds
+    ms = moment_sequence(dist)
+    base = alt_sum_stable(ms, n, kmin=2, tol=1e-9)
+    fine = alt_sum_stable(ms, n, kmin=2, tol=1e-9, terms=4 * base.terms_used)
+    assert abs(fine.value - base.value) <= base.tail_bound + fine.tail_bound
+
+
 def test_stable_validates_arguments():
     with pytest.raises(ValueError):
         alt_sum_stable(riemann_ms(), 10, kmin=3)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import momzeta
 from momzeta.cli import fmt_number, json_dumps, main
 
 RIEMANN_RES_100 = -0.000833325000397  # mpmath oracle residual at n = 100
@@ -171,3 +175,44 @@ def test_game_simulate_random_p(capsys):
     assert results["mode"] == "random-p"
     assert results["target_kind"] == "one-minus-alt-sum"
     assert abs(results["mean"] - results["target"]) <= 6.0 * results["stderr"]
+
+
+# ---------------------------------------------------------------------------
+# import budget: scipy and mpmath load only in the functions that use them
+# ---------------------------------------------------------------------------
+
+_HEAVY_PROBE = """
+import contextlib, io, json, sys
+import momzeta, momzeta.cli
+code = 0
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = momzeta.cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in ("scipy", "mpmath") if m in sys.modules)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        ([], []),
+        (["predict", "--kind", "riemann", "--n", "5000"], []),
+        (["sum", "--dist", "riemann", "--n", "10,1000", "--kmin", "2", "--predict", "riemann"], []),
+        (["game", "exact", "--p", "0.5,0.9,0.99"], []),
+        (["game", "simulate", "--p", "0.5,0.9", "--trials", "4096", "--seed", "1"], []),
+        (["dn", "--n", "10,100"], []),
+        (["verify", "--criteria", "5", "--seed", "1"], ["scipy"]),
+        (["sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-3"], ["scipy"]),
+    ],
+    ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify", "sum-beta"],
+)
+def test_heavy_imports_load_on_demand(argv, loaded):
+    src = os.path.dirname(os.path.dirname(momzeta.__file__))
+    paths = [src, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HEAVY_PROBE, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]
