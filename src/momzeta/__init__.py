@@ -27,12 +27,9 @@ from .dist_core import (
     TailModel,
     Uniform,
     load_tabulated_csv,
-    moment,
     moment_quadrature,
     moment_sequence,
     riemann_sequence,
-    sample,
-    sample_many,
     tail_model,
 )
 from .errors import (
@@ -54,12 +51,10 @@ from .game_sim import (
     paper_T_inclusion_exclusion,
     paper_T_series,
     run_trials,
-    simulate_game,
     win_prob_by,
     zeta_expectation_mc,
 )
-from .moment_zeta import SumResult, convergence_abscissa, moment_zeta, riemann_zeta_int
-from .special import EULER_GAMMA, gamma_fn
+from .moment_zeta import SumResult, convergence_abscissa, moment_zeta
 
 __version__ = "0.1.0"
 
@@ -69,7 +64,6 @@ __all__ = [
     "DefectResult",
     "Divergence",
     "DomainError",
-    "EULER_GAMMA",
     "EdgeDistribution",
     "GameParams",
     "InvalidTail",
@@ -93,10 +87,8 @@ __all__ = [
     "defect_direct",
     "defect_dnform",
     "expected_rounds",
-    "gamma_fn",
     "gamma_integral_identity_check",
     "load_tabulated_csv",
-    "moment",
     "moment_quadrature",
     "moment_sequence",
     "moment_zeta",
@@ -104,13 +96,9 @@ __all__ = [
     "paper_T_series",
     "predict",
     "riemann_sequence",
-    "riemann_zeta_int",
     "riemann_zeta_source",
     "run_trials",
-    "sample",
-    "sample_many",
     "scaled_riemann_zeta_source",
-    "simulate_game",
     "tail_model",
     "uniform_zeta_source",
     "win_prob_by",

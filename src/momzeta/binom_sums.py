@@ -31,8 +31,7 @@ import numpy as np
 
 from .dist_core import MomentSequence
 from .errors import Divergence, DomainError, PrecisionExhausted, QuadratureFailure, TailUnavailable
-from .moment_zeta import SumResult, power_tail_sum
-from .special import EULER_GAMMA, gamma_fn
+from .moment_zeta import _CHUNK, _EPS, _TAIL_SAFETY, SumResult, power_tail_sum
 
 __all__ = [
     "AsymptoticPrediction",
@@ -46,9 +45,6 @@ __all__ = [
     "NAIVE_DEFAULT_CAP",
 ]
 
-_EPS = np.finfo(np.float64).eps
-_TAIL_SAFETY = 1.05
-_CHUNK = 1 << 20
 _GENERIC_CAP = 16_000_000
 _POWER_LAW_J = 1 << 17
 _POWER_LAW_J_CAP = 1 << 22
@@ -89,9 +85,11 @@ def predict(kind: str, n: float, *, c: float | None = None, beta: float | None =
     if kind == "mainisdef":
         if c is None or beta is None or not (c > 0.0) or not (beta > 0.0):
             raise DomainError(f"mainisdef needs c > 0 and beta > 0, got c={c}, beta={beta}")
+        # (c Gamma(beta+1))^(1/(beta+1)) in logs: Gamma(beta+1) alone overflows
+        # for beta > 170.6
         value = (
-            (c * gamma_fn(beta + 1.0)) ** (1.0 / (beta + 1.0))
-            * gamma_fn(beta / (beta + 1.0))
+            math.exp((math.log(c) + math.lgamma(beta + 1.0)) / (beta + 1.0))
+            * math.gamma(beta / (beta + 1.0))
             * n ** (1.0 / (beta + 1.0))
         )
         return AsymptoticPrediction("mainisdef", {"c": c, "beta": beta}, n, value)
@@ -100,12 +98,12 @@ def predict(kind: str, n: float, *, c: float | None = None, beta: float | None =
             raise DomainError(f"alpha1 needs c > 0, got {c}")
         return AsymptoticPrediction("alpha1", {"c": c}, n, c * n * math.log(n))
     if kind == "riemann":
-        value = n * math.log(n) + (2.0 * EULER_GAMMA - 1.0) * n
+        value = n * math.log(n) + (2.0 * np.euler_gamma - 1.0) * n
         return AsymptoticPrediction("riemann", {}, n, value)
     # riemann_scaled
     if s is None or not (s > 1.0):
         raise DomainError(f"riemann_scaled needs s > 1, got {s}")
-    value = gamma_fn(1.0 - 1.0 / s) * n ** (1.0 / s)
+    value = math.gamma(1.0 - 1.0 / s) * n ** (1.0 / s)
     return AsymptoticPrediction("riemann_scaled", {"s": s}, n, value)
 
 
@@ -131,7 +129,9 @@ def _stable_generic(ms: MomentSequence, n: int, kmin: int, tol: float,
     p = alpha * kmin
     if terms is None:
         lhat = _TAIL_SAFETY * L
-        J = math.ceil((coef * lhat**kmin / (tol * (p - 1.0))) ** (1.0 / (p - 1.0)))
+        # floor + 1, not ceil: at an exact integer the truncation term alone
+        # equals tol and the rounding term would push the bound past it
+        J = math.floor((coef * lhat**kmin / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
         J = min(max(J, 1024), _GENERIC_CAP)
     else:
         J = max(int(terms), kmin)
@@ -346,8 +346,8 @@ def gamma_integral_identity_check(L: float, alpha: float) -> tuple[float, float]
     if not (L > 0.0):
         raise DomainError(f"needs L > 0, got {L}")
     if alpha == 1.0:
-        return _euler1_quadrature(L), L * (1.0 - EULER_GAMMA - math.log(L))
+        return _euler1_quadrature(L), L * (1.0 - np.euler_gamma - math.log(L))
     if not (alpha > 1.0):
         raise DomainError(f"needs alpha >= 1, got {alpha}")
-    closed = L ** (1.0 / alpha) * gamma_fn(1.0 - 1.0 / alpha)
+    closed = L ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
     return _euler0_quadrature(L, alpha), closed

@@ -1,7 +1,7 @@
 """Command-line front end: every computation as a reproducible experiment.
 
 Subcommands
-    zeta      one zeta value (Riemann integer series or a moment zeta sum)
+    zeta      one moment zeta value Z(s) (--dist riemann gives the Riemann zeta)
     moments   moment sweep of a distribution with the scaled-tail column
     sum       alternating-sum sweep over n, stable or naive, with predictors
     predict   evaluate a growth law at n
@@ -36,10 +36,17 @@ from .dist_core import (
 )
 from .errors import Divergence, MomentZetaError
 from .game_sim import GameParams
-from .moment_zeta import moment_zeta as _moment_zeta_sum, riemann_zeta_int
+from .moment_zeta import moment_zeta as _moment_zeta_sum
 
 SCHEMA_VERSION = 1
 _DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
+# --dist -> zeta source of the naive oracle, called with --s; looked up inside
+# the worker because the mpmath closures it returns cannot be pickled
+_NAIVE_SOURCES = {
+    "riemann": lambda s: binom_sums.riemann_zeta_source(),
+    "uniform": lambda s: binom_sums.uniform_zeta_source(),
+    "riemann-scaled": lambda s: binom_sums.scaled_riemann_zeta_source(s),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +126,6 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", choices=_DIST_CHOICES, help="distribution / sequence family")
     p.add_argument("--beta", type=float, help="edge exponent of the density at x=1")
     p.add_argument("--c", type=float, help="edge coefficient of the density at x=1")
-    p.add_argument("--delta", type=float, default=1.0, help="tail correction exponent")
     p.add_argument("--table", help="CSV file with header x,f for --dist tabulated")
     p.add_argument("--s", type=float, help="exponent of the abstract sequence j^(-s)")
 
@@ -129,7 +135,6 @@ def _dist_config(args) -> dict:
         "family": args.dist,
         "c": args.c,
         "beta": args.beta,
-        "delta": args.delta,
         "table": args.table,
         "s": args.s,
     }
@@ -144,12 +149,12 @@ def _build_source(args, parser: argparse.ArgumentParser):
     if args.dist == "beta":
         if args.beta is None:
             parser.error("--dist beta needs --beta")
-        return BetaEdge(beta=args.beta, c=args.c, delta=args.delta)
+        return BetaEdge(beta=args.beta, c=args.c)
     if args.dist == "tabulated":
         if args.table is None:
             parser.error("--dist tabulated needs --table")
         edge = (args.c, args.beta) if args.c is not None and args.beta is not None else None
-        return load_tabulated_csv(args.table, edge=edge, delta=args.delta)
+        return load_tabulated_csv(args.table, edge=edge)
     if args.dist == "riemann":
         return PowerMoments(1.0)
     # riemann-scaled
@@ -198,13 +203,7 @@ def _sum_row(task: dict) -> dict:
         res = binom_sums.alt_sum_stable(ms, n, kmin=task["kmin"], tol=task["tol"])
         value, tail_bound, terms = res.value, res.tail_bound, res.terms_used
     else:
-        src_kind = task["zeta_source"]
-        if src_kind == "riemann":
-            source = binom_sums.riemann_zeta_source()
-        elif src_kind == "uniform":
-            source = binom_sums.uniform_zeta_source()
-        else:
-            source = binom_sums.scaled_riemann_zeta_source(task["s"])
+        source = _NAIVE_SOURCES[task["dist"]](task["s"])
         value = binom_sums.alt_sum_naive(n, task["kmin"], source)
         tail_bound, terms = 0.0, n - task["kmin"] + 1
     row = {"n": n, "value": value, "prediction": None, "residual": None,
@@ -244,19 +243,10 @@ def _map_rows(fn, tasks: list[dict], workers: int) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 def _cmd_zeta(args, parser) -> int:
-    if args.riemann:
-        if args.k is None:
-            parser.error("zeta --riemann needs --k")
-        res = riemann_zeta_int(args.k)
-        config = {"command": "zeta", "riemann": True, "k": args.k}
-    else:
-        source = _build_source(args, parser)
-        if args.s_eval is None:
-            parser.error("zeta needs --s-eval for a moment zeta sum")
-        ms = moment_sequence(source)
-        res = _moment_zeta_sum(ms, args.s_eval, tol=args.tol)
-        config = {"command": "zeta", "dist": _dist_config(args), "s_eval": args.s_eval,
-                  "tol": args.tol}
+    ms = moment_sequence(_build_source(args, parser))
+    res = _moment_zeta_sum(ms, args.s_eval, tol=args.tol)
+    config = {"command": "zeta", "dist": _dist_config(args), "s_eval": args.s_eval,
+              "tol": args.tol}
     results = {"value": res.value, "tail_bound": res.tail_bound,
                "terms_used": res.terms_used, "method": res.method}
     _write_output(_report(config, results), args.output)
@@ -289,27 +279,13 @@ def _cmd_sum(args, parser) -> int:
     # let the predictor inherit edge parameters from the distribution
     pred_c, pred_beta = args.c, args.beta
     if args.predict in ("mainisdef", "alpha1") and pred_c is None:
-        if isinstance(source, BetaEdge):
-            pred_c, pred_beta = source.c, source.beta
-        elif not isinstance(source, PowerMoments):
-            try:
-                pred_c, pred_beta = source.edge_params()[:2]
-            except MomentZetaError:
-                pass
-    if args.method == "naive":
-        if args.dist == "riemann":
-            zeta_source = "riemann"
-        elif args.dist == "uniform":
-            zeta_source = "uniform"
-        elif args.dist == "riemann-scaled":
-            zeta_source = "scaled"
-        else:
-            parser.error("--method naive supports riemann, riemann-scaled and uniform only")
-    else:
-        zeta_source = None
+        if not isinstance(source, PowerMoments):
+            pred_c, pred_beta = source.edge_params()
+    if args.method == "naive" and args.dist not in _NAIVE_SOURCES:
+        parser.error("--method naive supports riemann, riemann-scaled and uniform only")
     base = {
         "ms": ms, "kmin": args.kmin, "tol": args.tol, "method": args.method,
-        "zeta_source": zeta_source, "predict": args.predict,
+        "dist": args.dist, "predict": args.predict,
         "c": pred_c, "beta": pred_beta, "s": args.s,
     }
     rows = _map_rows(_sum_row, [dict(base, n=n) for n in ns], args.workers)
@@ -445,10 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
         if fmt_default:
             p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
 
-    p = sub.add_parser("zeta", help="one zeta value")
-    p.add_argument("--riemann", action="store_true", help="integer-argument Riemann series")
-    p.add_argument("--k", type=int, help="integer exponent for --riemann")
-    p.add_argument("--s-eval", type=float, help="exponent s of the moment zeta sum")
+    p = sub.add_parser("zeta", help="one moment zeta value")
+    p.add_argument("--s-eval", type=float, required=True, help="exponent s of the moment zeta sum")
     p.add_argument("--tol", type=float, default=1e-10)
     _add_dist_args(p)
     common(p)
@@ -527,7 +501,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MomentZetaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, OSError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -15,8 +15,8 @@ every truncation bound downstream.  Moment sequences (from a distribution or
 the abstract power family m_j = j^(-s)) are the universal input of the
 summation engines.
 
-Objects are immutable after construction; samplers take the caller's
-generator, so determinism is entirely in the caller's hands.
+Objects are immutable after construction; sampling is ``ppf`` applied to
+the caller's uniforms, so determinism is entirely in the caller's hands.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidTail, MissingEdgeData, QuadratureFailure
-from .special import gamma_fn
+from .errors import DomainError, InvalidTail, MissingEdgeData, QuadratureFailure
 
 __all__ = [
     "EdgeDistribution",
@@ -41,11 +40,8 @@ __all__ = [
     "TailModel",
     "PowerLawForm",
     "MomentSequence",
-    "moment",
     "moment_quadrature",
     "tail_model",
-    "sample",
-    "sample_many",
     "moment_sequence",
     "load_tabulated_csv",
 ]
@@ -55,19 +51,16 @@ _MASS_TOL = 1e-10
 
 @dataclass(frozen=True)
 class TailModel:
-    """Moment decay law m(x) ~ L x^(-alpha) (1 + O(x^(-delta)))."""
+    """Moment decay law m(x) ~ L x^(-alpha)."""
 
     L: float
     alpha: float
-    delta: float
 
     def __post_init__(self) -> None:
         if not (self.L > 0.0):
             raise ValueError(f"tail constant L must be positive, got {self.L}")
         if not (self.alpha > 0.0):
             raise ValueError(f"decay exponent alpha must be positive, got {self.alpha}")
-        if not (self.delta > 0.0):
-            raise ValueError(f"correction exponent delta must be positive, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -99,16 +92,12 @@ class EdgeDistribution:
         raise NotImplementedError
 
     # -- exact moments -------------------------------------------------------
-    def moment(self, k: int) -> float:
-        raise NotImplementedError
-
     def moments(self, k) -> np.ndarray:
         """Vectorized m_k over an integer array k >= 1."""
-        k = np.asarray(k, dtype=np.float64)
-        return np.array([self.moment(int(kk)) for kk in np.atleast_1d(k)])
+        raise NotImplementedError
 
-    def edge_params(self) -> tuple[float, float, float]:
-        """(c, beta, delta) of the density near x = 1."""
+    def edge_params(self) -> tuple[float, float]:
+        """(c, beta) of the density near x = 1."""
         raise MissingEdgeData(f"{self.family} distribution has no edge data")
 
     def power_law_form(self) -> PowerLawForm | None:
@@ -131,16 +120,12 @@ class Uniform(EdgeDistribution):
     def ppf(self, u):
         return np.asarray(u, dtype=np.float64)
 
-    def moment(self, k: int) -> float:
-        _check_order(k)
-        return 1.0 / (k + 1.0)
-
     def moments(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)
         return 1.0 / (k + 1.0)
 
-    def edge_params(self) -> tuple[float, float, float]:
-        return (1.0, 0.0, 1.0)
+    def edge_params(self) -> tuple[float, float]:
+        return (1.0, 0.0)
 
     def power_law_form(self) -> PowerLawForm:
         return PowerLawForm(L=1.0, alpha=1.0, shift=1.0)
@@ -156,7 +141,6 @@ class BetaEdge(EdgeDistribution):
 
     beta: float
     c: float | None = None
-    delta: float = 1.0
     family: str = field(default="beta-edge", init=False)
 
     def __post_init__(self) -> None:
@@ -169,8 +153,6 @@ class BetaEdge(EdgeDistribution):
                 "does not normalize to 1"
             )
         object.__setattr__(self, "c", c)
-        if not (self.delta > 0.0):
-            raise ValueError(f"delta must be positive, got {self.delta}")
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -185,10 +167,6 @@ class BetaEdge(EdgeDistribution):
         u = np.asarray(u, dtype=np.float64)
         return 1.0 - (1.0 - u) ** (1.0 / (self.beta + 1.0))
 
-    def moment(self, k: int) -> float:
-        _check_order(k)
-        return float(self.moments(np.array([k]))[0])
-
     def moments(self, k) -> np.ndarray:
         # m_k = c * B(k+1, beta+1), evaluated through log-gammas so large k
         # neither overflows nor loses the leading behaviour.
@@ -199,8 +177,8 @@ class BetaEdge(EdgeDistribution):
             gammaln(self.beta + 1.0) + gammaln(k + 1.0) - gammaln(k + self.beta + 2.0)
         )
 
-    def edge_params(self) -> tuple[float, float, float]:
-        return (self.c, self.beta, self.delta)
+    def edge_params(self) -> tuple[float, float]:
+        return (self.c, self.beta)
 
 
 class TabulatedDensity(EdgeDistribution):
@@ -208,8 +186,7 @@ class TabulatedDensity(EdgeDistribution):
 
     The grid must cover [0, 1] and the trapezoid mass must equal 1 within
     1e-10 (pass normalize=True to rescale instead).  Edge behaviour cannot be
-    inferred from a table; supply edge=(c, beta) (and optionally delta) to
-    unlock the tail model.
+    inferred from a table; supply edge=(c, beta) to unlock the tail model.
     """
 
     family = "tabulated"
@@ -219,7 +196,6 @@ class TabulatedDensity(EdgeDistribution):
         x: Sequence[float],
         f: Sequence[float],
         edge: tuple[float, float] | None = None,
-        delta: float = 1.0,
         normalize: bool = False,
     ) -> None:
         x = np.asarray(x, dtype=np.float64)
@@ -245,7 +221,6 @@ class TabulatedDensity(EdgeDistribution):
         self.f = f
         self.f.setflags(write=False)
         self._edge = (float(edge[0]), float(edge[1])) if edge is not None else None
-        self._delta = float(delta)
         if self._edge is not None and not (self._edge[0] > 0.0 and self._edge[1] >= 0.0):
             raise ValueError(f"edge data needs c > 0 and beta >= 0, got {self._edge}")
         # cumulative mass at the grid nodes (piecewise quadratic in between)
@@ -276,10 +251,6 @@ class TabulatedDensity(EdgeDistribution):
             hi = np.where(below, hi, mid)
         return 0.5 * (lo + hi)
 
-    def moment(self, k: int) -> float:
-        _check_order(k)
-        return float(self.moments(np.array([k]))[0])
-
     def moments(self, k) -> np.ndarray:
         # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:
         # A (x1^(k+1) - x0^(k+1))/(k+1) + B (x1^(k+2) - x0^(k+2))/(k+2).
@@ -297,13 +268,12 @@ class TabulatedDensity(EdgeDistribution):
             out[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
         return out
 
-    def edge_params(self) -> tuple[float, float, float]:
+    def edge_params(self) -> tuple[float, float]:
         if self._edge is None:
             raise MissingEdgeData(
                 "tabulated density has no (c, beta) edge data; pass edge=(c, beta)"
             )
-        c, beta = self._edge
-        return (c, beta, self._delta)
+        return self._edge
 
 
 @dataclass(frozen=True)
@@ -348,19 +318,10 @@ class MomentSequence:
     def moment(self, j: int) -> float:
         return float(self.moments(np.array([j]))[0])
 
-    def __call__(self, j):
-        return self.moments(j)
-
 
 def _check_order(k: int) -> None:
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"moment order must be an integer >= 1, got {k!r}")
-
-
-def moment(dist: EdgeDistribution, k: int) -> float:
-    """k-th moment int_0^1 x^k f(x) dx, by closed form or exact segment sums."""
-    _check_order(k)
-    return dist.moment(int(k))
 
 
 def moment_quadrature(dist: EdgeDistribution, k: int, tol: float = 1e-12) -> float:
@@ -392,26 +353,21 @@ def moment_quadrature(dist: EdgeDistribution, k: int, tol: float = 1e-12) -> flo
     return value
 
 
-def tail_model(dist: EdgeDistribution, delta: float | None = None) -> TailModel:
-    """TailModel (L, alpha, delta) from the density's edge behaviour.
+def tail_model(dist: EdgeDistribution) -> TailModel:
+    """TailModel (L, alpha) from the density's edge behaviour.
 
     L = c Gamma(beta+1) and alpha = beta+1; tabulated densities without
-    user-supplied edge data raise MissingEdgeData.
+    user-supplied edge data raise MissingEdgeData, and edges whose L
+    overflows a float raise DomainError.
     """
-    c, beta, d = dist.edge_params()
-    if delta is not None:
-        d = float(delta)
-    return TailModel(L=c * gamma_fn(beta + 1.0), alpha=beta + 1.0, delta=d)
-
-
-def sample(dist: EdgeDistribution, rng: np.random.Generator) -> float:
-    """One draw by inverse-CDF sampling."""
-    return float(dist.ppf(rng.random()))
-
-
-def sample_many(dist: EdgeDistribution, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Vectorized inverse-CDF sampling."""
-    return np.asarray(dist.ppf(rng.random(size)), dtype=np.float64)
+    c, beta = dist.edge_params()
+    try:
+        L = c * math.gamma(beta + 1.0)
+    except OverflowError:
+        L = math.inf
+    if not math.isfinite(L):
+        raise DomainError(f"tail constant c Gamma(beta+1) overflows for c={c}, beta={beta}")
+    return TailModel(L=L, alpha=beta + 1.0)
 
 
 def _spot_check(seq: MomentSequence, provenance: str) -> None:
@@ -422,12 +378,15 @@ def _spot_check(seq: MomentSequence, provenance: str) -> None:
     if np.any(np.diff(m) > 1e-15):
         raise InvalidTail(f"{provenance} moments are not monotonically decreasing")
     if seq.tail is not None:
-        # the scaled sequence j^alpha m_j must be near L once j is large
+        # the scaled sequence j^alpha m_j must be within a factor 2 of L once j
+        # is large; compared in logs, since j^alpha overflows for alpha >= 78
         j = 10_000
-        scaled = float(seq.moments(np.array([j]))[0]) * j**seq.tail.alpha
-        if not (0.5 * seq.tail.L <= scaled <= 2.0 * seq.tail.L):
+        with np.errstate(divide="ignore"):
+            log_m = float(np.log(seq.moments(np.array([j]))[0]))
+        log_ratio = log_m + seq.tail.alpha * math.log(j) - math.log(seq.tail.L)
+        if not (abs(log_ratio) <= math.log(2.0)):
             raise InvalidTail(
-                f"j^alpha m_j = {scaled:.6g} at j={j} is inconsistent with tail "
+                f"log(j^alpha m_j / L) = {log_ratio:.6g} at j={j} is inconsistent with tail "
                 f"constant L = {seq.tail.L:.6g}"
             )
 
@@ -442,19 +401,15 @@ def moment_sequence(source: EdgeDistribution | PowerMoments) -> MomentSequence:
         s = source.s
         seq = MomentSequence(
             evaluator=source.moments,
-            tail=TailModel(L=1.0, alpha=s, delta=math.inf),
+            tail=TailModel(L=1.0, alpha=s),
             provenance="abstract",
             power_law=PowerLawForm(L=1.0, alpha=s, shift=0.0),
         )
         return seq
     if isinstance(source, EdgeDistribution):
-        try:
-            tail = tail_model(source)
-        except MissingEdgeData:
-            raise
         seq = MomentSequence(
             evaluator=source.moments,
-            tail=tail,
+            tail=tail_model(source),
             provenance="from-distribution",
             power_law=source.power_law_form(),
         )
@@ -471,7 +426,6 @@ def riemann_sequence() -> MomentSequence:
 def load_tabulated_csv(
     path: str,
     edge: tuple[float, float] | None = None,
-    delta: float = 1.0,
     normalize: bool = False,
 ) -> TabulatedDensity:
     """Load a density table from CSV with header ``x,f``."""
@@ -487,4 +441,4 @@ def load_tabulated_csv(
                 continue
             xs.append(float(row[0]))
             fs.append(float(row[1]))
-    return TabulatedDensity(xs, fs, edge=edge, delta=delta, normalize=normalize)
+    return TabulatedDensity(xs, fs, edge=edge, normalize=normalize)

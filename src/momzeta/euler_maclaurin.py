@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .special import harmonic
-
 __all__ = ["DefectResult", "defect_direct", "defect_dnform"]
 
 _CHUNK = 1 << 16
@@ -52,7 +50,10 @@ def _integral_closed_form(n: int, big_n: int) -> float:
 
     P(t) = sum_{k=2}^n C(n,k) (-1)^k t^(k-1)/(k-1) evaluated by a term
     recurrence; at t = 1/N with N >= 4n the terms decay geometrically.
+    H_{n-1} is digamma(n) + gamma.
     """
+    from scipy.special import digamma
+
     t = 1.0 / big_n
     p_val = 0.0
     term = 0.5 * n * (n - 1.0) * t  # k = 2 term
@@ -61,7 +62,8 @@ def _integral_closed_form(n: int, big_n: int) -> float:
         p_val += term if k % 2 == 0 else -term
         term *= (n - k) / (k + 1.0) * t * (k - 1.0) / k
         k += 1
-    return big_n - n * math.log(big_n) + n * harmonic(n - 1) - n - p_val
+    harmonic = float(digamma(n)) + np.euler_gamma
+    return big_n - n * math.log(big_n) + n * harmonic - n - p_val
 
 
 def defect_direct(n: int, big_n: int) -> float:

@@ -43,7 +43,6 @@ __all__ = [
     "paper_T_series",
     "paper_T_inclusion_exclusion",
     "expected_rounds",
-    "simulate_game",
     "run_trials",
     "zeta_expectation_mc",
     "TRIAL_BLOCK",
@@ -166,29 +165,19 @@ def expected_rounds(params: GameParams, tol: float = 1e-12) -> float:
     return 1.0 + paper_T_series(params, tol=tol).value
 
 
-def simulate_game(params: GameParams, rng: np.random.Generator) -> int:
-    """One play: T = max_i ceil(log U_i / log p_i), with G_i = 1 when p_i = 0."""
-    if params.n == 0:
-        return 1
-    p = np.asarray(params.p, dtype=np.float64)
-    u = 1.0 - rng.random(params.n)  # in (0, 1]
-    with np.errstate(divide="ignore"):
-        g = np.ceil(np.log(u) / np.log(p))
-    g = np.where(p == 0.0, 1.0, np.maximum(g, 1.0))
-    return int(np.max(g))
-
-
 def _block_rng(seed: int, index: int) -> Generator:
     return Generator(Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, index]))
 
 
 def _games_fixed(params: GameParams, m: int, rng: Generator) -> np.ndarray:
+    """m plays: T = max_i ceil(log U_i / log p_i), with G_i = 1 when p_i = 0
+    and T = 1 when there are no sets."""
     p = np.asarray(params.p, dtype=np.float64)
     u = 1.0 - rng.random((m, params.n))
     with np.errstate(divide="ignore"):
         g = np.ceil(np.log(u) / np.log(p)[None, :])
     g = np.where(p[None, :] == 0.0, 1.0, np.maximum(g, 1.0))
-    return g.max(axis=1)
+    return g.max(axis=1, initial=1.0)
 
 
 def _games_random_p(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> np.ndarray:
@@ -263,7 +252,7 @@ def run_trials(
     n: int | None = None,
     workers: int = 1,
 ) -> SimulationReport:
-    """Aggregate simulate_game over many trials, deterministically in seed.
+    """Aggregate many plays of the game, deterministically in seed.
 
     mode="fixed-p": ``source`` is a GameParams played every trial; the target
     is the exact expected_rounds.  mode="random-p": each trial draws fresh

@@ -9,9 +9,7 @@ Two summation paths share the SumResult contract:
   requested tolerance, with the constant L+eps certified empirically by
   scanning the summed range and inflating by 5%.
 
-``riemann_zeta_int`` is the special case m_j = 1/j at integer exponent,
-kept as an independent direct-series reference with an integral-bracket
-tail certificate.
+The Riemann zeta function itself is ``moment_zeta(riemann_sequence(), s)``.
 """
 
 from __future__ import annotations
@@ -26,12 +24,12 @@ from .errors import Divergence, TailUnavailable
 
 __all__ = [
     "SumResult",
-    "riemann_zeta_int",
     "convergence_abscissa",
     "moment_zeta",
     "power_tail_sum",
 ]
 
+# _EPS, _TAIL_SAFETY and _CHUNK are shared with binom_sums
 _EPS = np.finfo(np.float64).eps
 _TAIL_SAFETY = 1.05  # empirical inflation of the tail constant
 _GENERIC_CAP = 8_000_000
@@ -63,39 +61,6 @@ def power_tail_sum(p: float, start: float) -> tuple[float, float]:
     )
     err = p * (p + 1.0) * (p + 2.0) * (p + 3.0) * (p + 4.0) * x ** (-p - 5.0) / 15120.0
     return val, err
-
-
-def riemann_zeta_int(k: int, *, terms: int | None = None) -> SumResult:
-    """zeta(k) = sum j^(-k) for integer k >= 2, direct series plus bracket tail.
-
-    The tail sum_{j>N} j^(-k) lies between the integrals over [N+1, inf) and
-    [N, inf); the midpoint of that bracket is added and its half-width
-    N^(-k)/2 is the certificate.  N is sized for absolute error <= 1e-13.
-    """
-    if not isinstance(k, (int, np.integer)):
-        raise ValueError(f"riemann_zeta_int needs an integer exponent, got {k!r}")
-    if k <= 1:
-        raise Divergence(f"sum of j^(-{k}) diverges (needs k >= 2)")
-    k = int(k)
-    if terms is None:
-        # bracket half-width N^(-k)/2 <= 5e-14
-        n_terms = max(16, math.ceil((1.0 / 1e-13) ** (1.0 / k)))
-        n_terms = min(n_terms, _GENERIC_CAP)
-    else:
-        n_terms = max(2, int(terms))
-    partial = 0.0
-    abs_acc = 0.0
-    for lo in range(1, n_terms + 1, _CHUNK):
-        hi = min(n_terms, lo + _CHUNK - 1)
-        j = np.arange(lo, hi + 1, dtype=np.float64)
-        block = float(np.sum(j ** (-float(k))))
-        partial += block
-        abs_acc += block
-    upper = float(n_terms) ** (1 - k) / (k - 1.0)
-    lower = float(n_terms + 1) ** (1 - k) / (k - 1.0)
-    value = partial + 0.5 * (upper + lower)
-    bound = 0.5 * (upper - lower) + 8.0 * _EPS * abs_acc
-    return SumResult(value=value, tail_bound=bound, terms_used=n_terms, method="direct-series")
 
 
 def convergence_abscissa(ms: MomentSequence) -> float:
@@ -140,7 +105,9 @@ def moment_zeta(
     p = alpha * s
     if terms is None:
         lhat = _TAIL_SAFETY * L
-        n_terms = math.ceil((lhat**s / (tol * (p - 1.0))) ** (1.0 / (p - 1.0)))
+        # floor + 1, not ceil: at an exact integer the truncation term alone
+        # equals tol and the rounding term would push the bound past it
+        n_terms = math.floor((lhat**s / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
         n_terms = min(max(n_terms, 64), _GENERIC_CAP)
     else:
         n_terms = max(1, int(terms))

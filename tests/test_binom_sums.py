@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,9 +13,9 @@ from momzeta.binom_sums import (
     scaled_riemann_zeta_source,
     uniform_zeta_source,
 )
-from momzeta.dist_core import BetaEdge, PowerMoments, Uniform, moment_sequence
+from momzeta.dist_core import BetaEdge, PowerMoments, TabulatedDensity, Uniform, moment_sequence
 from momzeta.errors import Divergence, DomainError, PrecisionExhausted
-from momzeta.special import EULER_GAMMA
+from momzeta.moment_zeta import moment_zeta
 
 ZETA2 = 1.6449340668482264365
 ZETA3 = 1.2020569031595942854
@@ -138,6 +139,23 @@ def test_power_law_refinement_within_bounds_at_large_n(dist, n):
     assert abs(fine.value - base.value) <= base.tail_bound + fine.tail_bound
 
 
+@pytest.mark.parametrize(
+    "run, tol",
+    [
+        (lambda: alt_sum_stable(
+            moment_sequence(TabulatedDensity([0.0, 1.0], [1.0, 1.0], edge=(1.0, 0.0))),
+            16, kmin=2, tol=0.1), 0.1),
+        (lambda: alt_sum_stable(moment_sequence(BetaEdge(beta=1.0)), 10, tol=0.01), 0.01),
+        (lambda: moment_zeta(moment_sequence(BetaEdge(beta=1.0)), 1.0, tol=1e-6), 1e-6),
+    ],
+    ids=["tabulated-kmin2", "beta1-kmin1", "moment-zeta-beta1"],
+)
+def test_generic_truncation_meets_tol(run, tol):
+    # these cuts land exactly on an integer, where the truncation term alone
+    # equals tol; the rounding term must not push the bound past it
+    assert run().tail_bound <= tol
+
+
 def test_stable_validates_arguments():
     with pytest.raises(ValueError):
         alt_sum_stable(riemann_ms(), 10, kmin=3)
@@ -155,6 +173,14 @@ def test_predict_mainisdef_beta_one():
     # (2 Gamma(2))^(1/2) Gamma(1/2) sqrt(n) = sqrt(2 pi n)
     pred = predict("mainisdef", 100, c=2.0, beta=1.0)
     assert pred.value == pytest.approx(math.sqrt(2.0 * math.pi * 100.0), rel=1e-12)
+
+
+def test_predict_mainisdef_large_beta():
+    # Gamma(beta+1) overflows a float here; the prediction itself does not
+    c, beta, n = 3.0, 200.0, 1e4
+    a = mpmath.mpf(beta) + 1
+    expected = (c * mpmath.gamma(a)) ** (1 / a) * mpmath.gamma(beta / a) * mpmath.mpf(n) ** (1 / a)
+    assert predict("mainisdef", n, c=c, beta=beta).value == pytest.approx(float(expected), rel=1e-12)
 
 
 def test_predict_riemann_at_100():
@@ -201,10 +227,10 @@ def test_identity_power_form():
 
 def test_identity_log_form():
     quad, closed = gamma_integral_identity_check(1.0, 1.0)
-    assert closed == pytest.approx(1.0 - EULER_GAMMA, rel=1e-14)
+    assert closed == pytest.approx(1.0 - np.euler_gamma, rel=1e-14)
     assert abs(quad - closed) <= 1e-8
     quad, closed = gamma_integral_identity_check(0.5, 1.0)
-    assert closed == pytest.approx(0.5 * (1.0 - EULER_GAMMA - math.log(0.5)), rel=1e-13)
+    assert closed == pytest.approx(0.5 * (1.0 - np.euler_gamma - math.log(0.5)), rel=1e-13)
     assert abs(quad - closed) <= 1e-8
 
 

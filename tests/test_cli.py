@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -46,13 +47,13 @@ def test_game_exact_report(capsys):
 
 
 def test_zeta_divergent_exit_code(capsys):
-    code, _, err = run_cli(capsys, "zeta", "--riemann", "--k", "1")
+    code, _, err = run_cli(capsys, "zeta", "--dist", "riemann", "--s-eval", "1")
     assert code == 1
     assert "divergent" in err
 
 
 def test_zeta_value(capsys):
-    code, out, _ = run_cli(capsys, "zeta", "--riemann", "--k", "2")
+    code, out, _ = run_cli(capsys, "zeta", "--dist", "riemann", "--s-eval", "2")
     assert code == 0
     assert json.loads(out)["results"]["value"] == pytest.approx(1.6449340668482264, abs=1e-13)
 
@@ -85,6 +86,29 @@ def test_sum_worker_invariance(capsys):
     _, serial, _ = run_cli(capsys, *args)
     _, parallel, _ = run_cli(capsys, *args, "--workers", "3")
     assert serial == parallel
+
+
+@pytest.mark.parametrize(
+    "beta, kmin, code, message",
+    [
+        ("80", "1", 0, ""),
+        ("100", "2", 1, "error: "),
+        ("120", "1", 1, "inconsistent with tail constant"),
+        ("200", "1", 1, "overflows"),
+    ],
+    ids=["beta80", "beta100-kmin2", "beta120", "beta200"],
+)
+def test_sum_large_beta_exits_cleanly(capsys, beta, kmin, code, message):
+    # j^alpha overflows a float from alpha = 78, L^2 from beta = 98 and
+    # Gamma(beta+1) from beta = 170.6
+    result, out, err = run_cli(
+        capsys, "sum", "--dist", "beta", "--beta", beta, "--kmin", kmin,
+        "--n", "1000", "--tol", "1e-4",
+    )
+    assert result == code
+    assert message in err
+    if code == 0:
+        assert math.isfinite(float(out.strip().splitlines()[1].split(",")[1]))
 
 
 def test_dn_csv_headers(capsys):

@@ -7,12 +7,14 @@ from momzeta.binom_sums import predict
 from momzeta.dist_core import BetaEdge, Uniform
 from momzeta.errors import TooManySets
 from momzeta.game_sim import (
+    TRIAL_BLOCK,
     GameParams,
+    _block_rng,
+    _games_fixed,
     expected_rounds,
     paper_T_inclusion_exclusion,
     paper_T_series,
     run_trials,
-    simulate_game,
     win_prob_by,
     zeta_expectation_mc,
 )
@@ -96,16 +98,20 @@ def test_game_params_validation():
 # simulation
 # ---------------------------------------------------------------------------
 
-def test_simulate_game_all_zero_measures():
-    rng = np.random.default_rng(3)
-    assert all(simulate_game(GameParams([0.0, 0.0, 0.0]), rng) == 1 for _ in range(20))
+def test_games_fixed_all_zero_measures():
+    assert np.all(_games_fixed(GameParams([0.0, 0.0, 0.0]), 20, _block_rng(3, 0)) == 1.0)
 
 
-def test_simulate_game_returns_positive_int():
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        t = simulate_game(GameParams([0.7, 0.2]), rng)
-        assert isinstance(t, int) and t >= 1
+def test_games_fixed_returns_positive_integers():
+    t = _games_fixed(GameParams([0.7, 0.2]), 50, _block_rng(3, 0))
+    assert t.shape == (50,)
+    assert np.all(t >= 1.0) and np.all(t == np.floor(t))
+
+
+def test_run_trials_fixed_no_sets():
+    rep = run_trials("fixed-p", GameParams([]), trials=10, seed=1)
+    assert rep.mean == 1.0 and rep.variance == 0.0
+    assert rep.target == 1.0
 
 
 def test_run_trials_fixed_consistency():
@@ -151,8 +157,6 @@ def test_run_trials_validation():
 def test_duration_cdf_matches_product_law():
     params = GameParams([0.5, 0.3])
     trials = 20_000
-    from momzeta.game_sim import TRIAL_BLOCK, _block_rng, _games_fixed
-
     samples = []
     for b0 in range(0, trials, TRIAL_BLOCK):
         m = min(TRIAL_BLOCK, trials - b0)

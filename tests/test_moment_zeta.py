@@ -1,11 +1,19 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from momzeta.dist_core import BetaEdge, MomentSequence, PowerMoments, Uniform, moment_sequence
+from momzeta.dist_core import (
+    BetaEdge,
+    MomentSequence,
+    PowerMoments,
+    Uniform,
+    moment_sequence,
+    riemann_sequence,
+)
 from momzeta.errors import Divergence, TailUnavailable
-from momzeta.moment_zeta import convergence_abscissa, moment_zeta, riemann_zeta_int
+from momzeta.moment_zeta import convergence_abscissa, moment_zeta
 
 # mpmath at 30 digits
 ZETA2 = 1.6449340668482264365
@@ -14,32 +22,29 @@ ZETA4 = 1.0823232337111381915
 
 
 def test_zeta2_matches_pi_squared_over_six():
-    res = riemann_zeta_int(2)
+    res = moment_zeta(riemann_sequence(), 2)
     assert abs(res.value - math.pi**2 / 6.0) <= 1e-13
     assert abs(res.value - ZETA2) <= res.tail_bound + 1e-15
 
 
 def test_zeta30_two_term_dominance():
-    res = riemann_zeta_int(30)
+    res = moment_zeta(riemann_sequence(), 30)
     assert abs(res.value - (1.0 + 2.0**-30)) <= 2.0 * 3.0**-30
 
 
 @pytest.mark.parametrize("k", [1, 0, -2])
 def test_zeta_divergence(k):
     with pytest.raises(Divergence):
-        riemann_zeta_int(k)
-
-
-def test_zeta_rejects_non_integer():
-    with pytest.raises(ValueError):
-        riemann_zeta_int(2.5)
+        moment_zeta(riemann_sequence(), k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 7])
 def test_zeta_refinement_within_previous_bound(k):
-    coarse = riemann_zeta_int(k, terms=5_000)
-    fine = riemann_zeta_int(k, terms=10_000)
+    ms = riemann_sequence()
+    coarse = moment_zeta(ms, k, terms=5_000)
+    fine = moment_zeta(ms, k, terms=10_000)
     assert abs(fine.value - coarse.value) <= coarse.tail_bound
+    assert abs(coarse.value - float(mpmath.zeta(k))) <= coarse.tail_bound
 
 
 def test_abscissa_values():
@@ -65,12 +70,13 @@ def test_uniform_diverges_at_one():
         moment_zeta(moment_sequence(Uniform()), 1.0)
 
 
-@pytest.mark.parametrize("a,s", [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 3.0), (1.5, 2.0)])
+@pytest.mark.parametrize(
+    "a,s", [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 3.0), (1.5, 2.0), (1.0, 2.5)]
+)
 def test_cross_oracle_against_direct_series(a, s):
     # moment_zeta of the abstract j^(-a) sequence at s equals zeta(a s)
-    ms = moment_sequence(PowerMoments(a))
-    value = moment_zeta(ms, s).value
-    assert value == pytest.approx(riemann_zeta_int(int(round(a * s))).value, abs=1e-10)
+    res = moment_zeta(moment_sequence(PowerMoments(a)), s)
+    assert abs(res.value - float(mpmath.zeta(a * s))) <= res.tail_bound + 1e-15
 
 
 def test_generic_path_refinement_property():
