@@ -156,60 +156,55 @@ def _stable_power_law(ms: MomentSequence, n: int, kmin: int, tol: float,
                       terms: int | None) -> SumResult:
     pl = ms.power_law
     L, alpha, shift = pl.L, pl.alpha, pl.shift
-    J = max(_POWER_LAW_J, math.ceil((8.0 * n * max(L, 1.0)) ** (1.0 / alpha)))
-    if terms is not None:
+    if terms is None:
+        J = max(_POWER_LAW_J, math.ceil((8.0 * n * max(L, 1.0)) ** (1.0 / alpha)))
+        J = min(J, _POWER_LAW_J_CAP)
+    else:
         J = max(int(terms), kmin)
-    while True:
-        direct = 0.0
-        abs_acc = 0.0
-        for lo in range(1, J + 1, _CHUNK):
-            hi = min(J, lo + _CHUNK - 1)
-            j = np.arange(lo, hi + 1, dtype=np.float64)
-            t = _moment_space_terms(ms.moments(j), n, kmin)
-            direct += float(np.sum(t))
-            abs_acc += float(np.sum(np.abs(t)))
-        # tail corrections: sum_{j>J} sum_{k} C(n,k)(-m_j)^k order by order,
-        # stopping when the next Bonferroni envelope is negligible
-        total = direct
-        em_err = 0.0
-        corr_rounding = 0.0
-        k = kmin
-        remainder = math.inf
-        start = J + 1.0 + shift
-        log_l = math.log(L)
-        while k <= min(n, _MAX_CORRECTION_ORDER):
-            t, terr = power_tail_sum(alpha * k, start)
-            # log C(n,k) from the exact integer: an lgamma difference is off by
-            # ~log(n!) eps, which the order-2 correction (up to ~1e4) turns
-            # into an error above the certified bound at n >= 1e4
-            log_w = math.log(math.comb(n, k)) + k * log_l
-            if t > 0.0:
-                log_t = math.log(t)
-                corr = math.exp(log_w + log_t)
-                total += (-1.0) ** k * corr
-                # exp turns the absolute rounding of its argument, a few eps
-                # times the magnitudes summed into it, into relative error
-                corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0)
-            if terr > 0.0:
-                em_err += math.exp(log_w + math.log(terr))
-            if k == n:
+    direct = 0.0
+    abs_acc = 0.0
+    for lo in range(1, J + 1, _CHUNK):
+        hi = min(J, lo + _CHUNK - 1)
+        j = np.arange(lo, hi + 1, dtype=np.float64)
+        t = _moment_space_terms(ms.moments(j), n, kmin)
+        direct += float(np.sum(t))
+        abs_acc += float(np.sum(np.abs(t)))
+    # tail corrections: sum_{j>J} sum_{k} C(n,k)(-m_j)^k order by order.  The
+    # Bonferroni envelope of order k bounds what stopping after order k-1
+    # leaves out, so the sweep stops at the first negligible envelope
+    total = direct
+    em_err = 0.0
+    corr_rounding = 0.0
+    start = J + 1.0 + shift
+    log_l = math.log(L)
+    for k in range(kmin, n + 1):
+        t, terr = power_tail_sum(alpha * k, start)
+        # log C(n,k) from the exact integer: an lgamma difference is off by
+        # ~log(n!) eps, which the order-2 correction (up to ~1e4) turns
+        # into an error above the certified bound at n >= 1e4
+        log_w = math.log(math.comb(n, k)) + k * log_l
+        if k > kmin:
+            if t + terr <= 0.0:
                 remainder = 0.0
                 break
-            nt, nterr = power_tail_sum(alpha * (k + 1.0), start)
-            if nt + nterr <= 0.0:
-                remainder = 0.0
+            remainder = math.exp(log_w + math.log(t + terr))
+            if remainder < tol * 0.05 or k > _MAX_CORRECTION_ORDER:
                 break
-            remainder = math.exp(
-                math.log(math.comb(n, k + 1)) + (k + 1) * log_l + math.log(nt + nterr)
-            )
-            if remainder < tol * 0.05:
-                break
-            k += 1
-        if remainder < tol * 0.05 or terms is not None or J >= _POWER_LAW_J_CAP:
-            bound = remainder + em_err + 8.0 * _EPS * (abs_acc + n) + _EPS * corr_rounding
-            return SumResult(value=total, tail_bound=bound, terms_used=J,
-                             method="moment-space+tail-corrections")
-        J = min(J * 4, _POWER_LAW_J_CAP)
+        if t > 0.0:
+            log_t = math.log(t)
+            corr = math.exp(log_w + log_t)
+            total += (-1.0) ** k * corr
+            # exp turns the absolute rounding of its argument, a few eps
+            # times the magnitudes summed into it, into relative error
+            corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0)
+        if terr > 0.0:
+            em_err += math.exp(log_w + math.log(terr))
+    else:
+        # every order up to n is in: the binomial expansion is exact
+        remainder = 0.0
+    bound = remainder + em_err + 8.0 * _EPS * (abs_acc + n) + _EPS * corr_rounding
+    return SumResult(value=total, tail_bound=bound, terms_used=J,
+                     method="moment-space+tail-corrections")
 
 
 def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
@@ -222,6 +217,10 @@ def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
     driven below tol by higher-order corrections; for generic tail models
     the first-order cut applies and the reported tail_bound is honest even
     when the term cap prevents reaching tol.
+
+    ``terms`` fixes the number of moments summed directly (the head j <= J)
+    on both paths, in place of the size chosen from n, tol and the caps; the
+    power-law path still closes the tail j > J with its corrections.
     """
     if kmin not in (1, 2):
         raise ValueError(f"kmin must be 1 or 2, got {kmin}")

@@ -163,28 +163,19 @@ def _build_source(args, parser: argparse.ArgumentParser):
     return PowerMoments(args.s)
 
 
-def _parse_int_list(text: str, parser: argparse.ArgumentParser, flag: str) -> list[int]:
+def _parse_list(text: str, parser: argparse.ArgumentParser, flag: str, kind: type = float) -> list:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        values = [kind(part) for part in text.split(",") if part]
     except ValueError:
-        parser.error(f"{flag} expects a comma-separated integer list, got {text!r}")
-    if not values:
-        parser.error(f"{flag} is empty")
-    return values
-
-
-def _parse_float_list(text: str, parser: argparse.ArgumentParser, flag: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part]
-    except ValueError:
-        parser.error(f"{flag} expects a comma-separated number list, got {text!r}")
+        noun = "integer" if kind is int else "number"
+        parser.error(f"{flag} expects a comma-separated {noun} list, got {text!r}")
     if not values:
         parser.error(f"{flag} is empty")
     return values
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("MOMZETA_SEED")
     if env is not None:
@@ -275,7 +266,7 @@ def _cmd_moments(args, parser) -> int:
 def _cmd_sum(args, parser) -> int:
     source = _build_source(args, parser)
     ms = moment_sequence(source)
-    ns = _parse_int_list(args.n, parser, "--n")
+    ns = _parse_list(args.n, parser, "--n", int)
     # let the predictor inherit edge parameters from the distribution
     pred_c, pred_beta = args.c, args.beta
     if args.predict in ("mainisdef", "alpha1") and pred_c is None:
@@ -315,11 +306,10 @@ def _cmd_predict(args, parser) -> int:
 
 
 def _cmd_game(args, parser) -> int:
-    seed = _resolve_seed(args)
     if args.game_cmd == "exact":
         if args.p is None:
             parser.error("game exact needs --p")
-        params = GameParams(_parse_float_list(args.p, parser, "--p"))
+        params = GameParams(_parse_list(args.p, parser, "--p"))
         series = game_sim.paper_T_series(params, tol=args.tol)
         results = {
             "paper_T": series.value,
@@ -333,8 +323,9 @@ def _cmd_game(args, parser) -> int:
         _write_output(_report(config, results), args.output)
         return 0
     # simulate
+    seed = _resolve_seed(args)
     if args.p is not None:
-        params = GameParams(_parse_float_list(args.p, parser, "--p"))
+        params = GameParams(_parse_list(args.p, parser, "--p"))
         report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed,
                                      workers=args.workers)
         config = {"command": "game-simulate", "mode": "fixed-p", "p": list(params.p),
@@ -355,7 +346,7 @@ def _cmd_game(args, parser) -> int:
 
 
 def _cmd_dn(args, parser) -> int:
-    ns = _parse_int_list(args.n, parser, "--n")
+    ns = _parse_list(args.n, parser, "--n", int)
     rows = _map_rows(_dn_row, [{"n": n, "tol": args.tol} for n in ns], args.workers)
     text = _csv_text(
         ("n", "d_n", "abs_dev", "scaled_dev"),
@@ -366,8 +357,8 @@ def _cmd_dn(args, parser) -> int:
 
 
 def _cmd_identity(args, parser) -> int:
-    ls = _parse_float_list(args.l_grid, parser, "--l-grid")
-    alphas = _parse_float_list(args.alpha_grid, parser, "--alpha-grid")
+    ls = _parse_list(args.l_grid, parser, "--l-grid")
+    alphas = _parse_list(args.alpha_grid, parser, "--alpha-grid")
     rows = []
     for length in ls:
         for alpha in alphas:
@@ -414,12 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None):
+    def common(p, fmt_default=None, workers=False, seed=False):
         p.add_argument("-o", "--output", help="output file (default stdout)")
-        p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
-        p.add_argument("--seed", type=int, help="RNG seed (fallback: MOMZETA_SEED, then 42)")
         if fmt_default:
             p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
+        if workers:
+            p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
+        if seed:
+            p.add_argument("--seed", type=int, help="RNG seed (fallback: MOMZETA_SEED, then 42)")
 
     p = sub.add_parser("zeta", help="one moment zeta value")
     p.add_argument("--s-eval", type=float, required=True, help="exponent s of the moment zeta sum")
@@ -443,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("stable", "naive"), default="stable")
     p.add_argument("--predict", choices=binom_sums.PREDICTION_KINDS,
                    help="add prediction and residual columns")
-    common(p, fmt_default="csv")
+    common(p, fmt_default="csv", workers=True)
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("predict", help="evaluate a growth law")
@@ -467,13 +460,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(ps)
     ps.add_argument("--n-sets", type=int, help="number of sets in random-p mode")
     ps.add_argument("--trials", type=int, default=100_000)
-    common(ps)
+    common(ps, workers=True, seed=True)
     ps.set_defaults(func=_cmd_game, game_cmd="simulate")
 
     p = sub.add_parser("dn", help="sum-integral defect sweep")
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--tol", type=float, default=1e-12)
-    common(p)
+    common(p, workers=True)
     p.set_defaults(func=_cmd_dn)
 
     p = sub.add_parser("identity", help="limit-integral identity checks")
@@ -484,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--criteria", help="comma-separated criterion ids (default: all)")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=_cmd_verify)
 
     return parser
@@ -498,10 +491,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except Divergence as exc:
         print(f"divergent: {exc}", file=sys.stderr)
         return 1
-    except MomentZetaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OverflowError, OSError) as exc:
+    except (MomentZetaError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

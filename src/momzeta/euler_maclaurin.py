@@ -20,6 +20,7 @@ to adaptive quadrature otherwise.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,7 +127,7 @@ def defect_dnform(n: int, tol: float = 1e-12) -> DefectResult:
         total += float(np.sum(0.5 * _GAUSS_WEIGHTS[None, :] * saw * gx))
     g_cut, gpp_cut = _g_and_second_derivative(float(j_cut + 1), n)
     total += -g_cut / 12.0 + gpp_cut / 720.0
-    bound = n * abs(gpp_cut) / 360.0 + 4.0 * np.finfo(np.float64).eps
+    bound = n * abs(gpp_cut) / 360.0 + 4.0 * sys.float_info.epsilon
     deviation = n * total
     return DefectResult(
         n=n, d_value=0.5 + deviation, tail_bound=bound, method="dnform", deviation=deviation

@@ -25,7 +25,7 @@ statistics are reduced in block order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -88,18 +88,7 @@ class SimulationReport:
     heavy_tail: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mean": self.mean,
-            "variance": self.variance,
-            "stderr": self.stderr,
-            "target": self.target,
-            "target_kind": self.target_kind,
-            "heavy_tail": self.heavy_tail,
-        }
+        return asdict(self)
 
 
 def win_prob_by(k: int, params: GameParams) -> float:

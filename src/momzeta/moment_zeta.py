@@ -15,6 +15,7 @@ The Riemann zeta function itself is ``moment_zeta(riemann_sequence(), s)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,7 @@ __all__ = [
 ]
 
 # _EPS, _TAIL_SAFETY and _CHUNK are shared with binom_sums
-_EPS = np.finfo(np.float64).eps
+_EPS = sys.float_info.epsilon
 _TAIL_SAFETY = 1.05  # empirical inflation of the tail constant
 _GENERIC_CAP = 8_000_000
 _CHUNK = 1 << 20
@@ -78,6 +79,9 @@ def moment_zeta(
     Requires s strictly above the convergence abscissa; the result is within
     tol + tail_bound of the true sum (tail_bound can exceed tol only when the
     generic truncation index is capped).
+
+    ``terms`` fixes the number of moments summed directly on both paths; a
+    power-law sequence still closes the rest with its Euler-Maclaurin tail.
     """
     if ms.tail is None:
         raise TailUnavailable("moment_zeta needs a tail model to bound its truncation")
@@ -90,10 +94,10 @@ def moment_zeta(
             f"moment zeta sum diverges at s={s}: needs s > 1/alpha = {1.0 / alpha:.6g}"
         )
 
-    if ms.power_law is not None and terms is None:
+    if ms.power_law is not None:
         pl = ms.power_law
         p = pl.alpha * s
-        n_terms = 4096
+        n_terms = 4096 if terms is None else max(1, int(terms))
         j = np.arange(1, n_terms + 1, dtype=np.float64)
         partial = float(np.sum(ms.moments(j) ** s))
         t, terr = power_tail_sum(p, n_terms + 1 + pl.shift)

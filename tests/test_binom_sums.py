@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from momzeta.binom_sums import (
+    _POWER_LAW_J_CAP,
     alt_sum_naive,
     alt_sum_stable,
     gamma_integral_identity_check,
@@ -15,6 +16,7 @@ from momzeta.binom_sums import (
 )
 from momzeta.dist_core import BetaEdge, PowerMoments, TabulatedDensity, Uniform, moment_sequence
 from momzeta.errors import Divergence, DomainError, PrecisionExhausted
+from momzeta.euler_maclaurin import defect_dnform
 from momzeta.moment_zeta import moment_zeta
 
 ZETA2 = 1.6449340668482264365
@@ -127,16 +129,43 @@ def test_stable_refinement_within_previous_bound():
     assert abs(fine.value - coarse.value) <= coarse.tail_bound
 
 
-@pytest.mark.parametrize("dist", [PowerMoments(1.0), Uniform()], ids=["riemann", "uniform"])
-@pytest.mark.parametrize("n", [10_000, 100_000])
-def test_power_law_refinement_within_bounds_at_large_n(dist, n):
+@pytest.mark.parametrize(
+    "dist, n, head",
+    [
+        (PowerMoments(1.0), 10_000, 1 << 17),
+        (Uniform(), 10_000, 1 << 17),
+        (PowerMoments(1.0), 100_000, 800_000),
+        (Uniform(), 100_000, 800_000),
+        # (8 n L)^(1/alpha) is 8.2e8 here: the head stops at the cap, and the
+        # corrections close a tail in which n m_j is still above 1
+        (PowerMoments(0.55), 10_000, _POWER_LAW_J_CAP),
+    ],
+    ids=["10000-riemann", "10000-uniform", "100000-riemann", "100000-uniform", "10000-s0.55"],
+)
+def test_power_law_refinement_within_bounds_at_large_n(dist, n, head):
     # the order-2 tail correction is 1e2-1e4 here, so binomial weights that
     # are not exact to a few eps push the two cuts apart by more than their
     # certified bounds
     ms = moment_sequence(dist)
     base = alt_sum_stable(ms, n, kmin=2, tol=1e-9)
+    assert base.terms_used == head
     fine = alt_sum_stable(ms, n, kmin=2, tol=1e-9, terms=4 * base.terms_used)
     assert abs(fine.value - base.value) <= base.tail_bound + fine.tail_bound
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: alt_sum_stable(riemann_ms(), 100, kmin=2),
+        lambda: alt_sum_stable(moment_sequence(BetaEdge(beta=1.0)), 100, tol=1e-4),
+        lambda: moment_zeta(riemann_ms(), 2.0),
+        lambda: moment_zeta(moment_sequence(BetaEdge(beta=1.0)), 2.0),
+        lambda: defect_dnform(10),
+    ],
+    ids=["stable-power-law", "stable-generic", "zeta-power-law", "zeta-generic", "dnform"],
+)
+def test_tail_bound_is_builtin_float(run):
+    assert type(run().tail_bound) is float
 
 
 @pytest.mark.parametrize(

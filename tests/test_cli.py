@@ -111,6 +111,35 @@ def test_sum_large_beta_exits_cleanly(capsys, beta, kmin, code, message):
         assert math.isfinite(float(out.strip().splitlines()[1].split(",")[1]))
 
 
+def test_sum_json_row_keys(capsys):
+    code, out, _ = run_cli(
+        capsys, "sum", "--dist", "riemann", "--n", "10,100", "--kmin", "2", "--format", "json",
+    )
+    assert code == 0
+    rows = json.loads(out)["results"]["rows"]
+    assert [r["n"] for r in rows] == [10, 100]
+    for row in rows:
+        assert list(row) == ["n", "value", "prediction", "residual", "tail_bound", "terms_used"]
+
+
+def test_predict_matches_library(capsys):
+    code, out, _ = run_cli(capsys, "predict", "--kind", "mainisdef", "--c", "2", "--beta", "1",
+                           "--n", "10000")
+    assert code == 0
+    expected = momzeta.binom_sums.predict("mainisdef", 10000.0, c=2.0, beta=1.0).value
+    assert json.loads(out)["results"]["value"] == expected
+
+
+def test_moments_beta_tail_column(capsys):
+    code, out, _ = run_cli(capsys, "moments", "--dist", "beta", "--beta", "1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "k,m_k,k_pow_alpha_m_k,tail_L"
+    k, _, scaled, tail_l = (float(v) for v in lines[-1].split(","))
+    assert k == 10_000
+    assert scaled == pytest.approx(tail_l, rel=0.01)
+
+
 def test_dn_csv_headers(capsys):
     code, out, _ = run_cli(capsys, "dn", "--n", "1,10")
     assert code == 0
@@ -137,6 +166,32 @@ def test_moments_missing_edge_data_is_numeric_failure(tmp_path, capsys):
     )
     assert code == 1
     assert "edge" in err
+
+
+# a valid invocation of each subcommand, and the flags it does not read
+_BARE_ARGV = {
+    "zeta": ["zeta", "--dist", "riemann", "--s-eval", "2"],
+    "moments": ["moments", "--dist", "uniform"],
+    "predict": ["predict", "--kind", "riemann", "--n", "100"],
+    "game-exact": ["game", "exact", "--p", "0.5"],
+    "identity": ["identity"],
+    "sum": ["sum", "--dist", "riemann", "--n", "10"],
+    "dn": ["dn", "--n", "10"],
+    "verify": ["verify", "--criteria", "5"],
+}
+_UNREAD_FLAGS = [
+    *((cmd, flag) for cmd in ("zeta", "moments", "predict", "game-exact", "identity")
+      for flag in ("--workers", "--seed")),
+    ("sum", "--seed"), ("dn", "--seed"), ("verify", "--workers"),
+]
+
+
+@pytest.mark.parametrize("cmd, flag", _UNREAD_FLAGS, ids=[f"{c}{f}" for c, f in _UNREAD_FLAGS])
+def test_unread_flags_are_usage_errors(capsys, cmd, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*_BARE_ARGV[cmd], flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_usage_error_exit_code(capsys):

@@ -43,6 +43,9 @@ def test_zeta_refinement_within_previous_bound(k):
     ms = riemann_sequence()
     coarse = moment_zeta(ms, k, terms=5_000)
     fine = moment_zeta(ms, k, terms=10_000)
+    # terms sets the head of the Euler-Maclaurin path, not a switch to the generic cut
+    assert coarse.method == fine.method == "power-law-tail"
+    assert coarse.terms_used == 5_000
     assert abs(fine.value - coarse.value) <= coarse.tail_bound
     assert abs(coarse.value - float(mpmath.zeta(k))) <= coarse.tail_bound
 
