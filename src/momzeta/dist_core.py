@@ -240,16 +240,20 @@ class TabulatedDensity(EdgeDistribution):
         return self._cum[idx] + (x - x0) * (f0 + 0.5 * t * (f1 - f0))
 
     def ppf(self, u):
-        # monotone bisection on the piecewise-quadratic CDF, to 1e-12
+        # stable root of the segment's quadratic CDF, then one Newton step
         u = np.asarray(u, dtype=np.float64)
-        lo = np.zeros_like(u)
-        hi = np.ones_like(u)
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            below = self.cdf(mid) < u
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
-        return 0.5 * (lo + hi)
+        idx = np.clip(np.searchsorted(self._cum, u, side="left") - 1, 0, self.x.size - 2)
+        x0, f0 = self.x[idx], self.f[idx]
+        width = self.x[idx + 1] - x0
+        slope = (self.f[idx + 1] - f0) / width
+        r = u - self._cum[idx]
+        denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * r, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
+            x = x0 + np.clip(d, 0.0, width)
+            dens = f0 + slope * (x - x0)
+            x = np.where(dens > 0.0, x - (self.cdf(x) - u) / dens, x)
+        return np.where(u >= self._cum[-1], 1.0, x)
 
     def moments(self, k) -> np.ndarray:
         # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:

@@ -14,7 +14,10 @@ Two exact oracles cross-check each other:
 
 Both equal E[T] - 1 (the k = 0 term of E[T] = sum_{k>=0} P(T > k) is always
 1 and is not part of the series); ``expected_rounds`` adds it back and is
-what simulations measure.
+what simulations measure.  The series stops at the first K whose union
+bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol, found inside a
+closed-form bracket for K, and the terms are summed in numpy blocks of k, so
+p_max near 1 costs milliseconds, not a Python loop over k.
 
 Reproducibility: trials are processed in fixed blocks of 4096, each block
 drawing from a Philox stream keyed by (seed, block index).  Any partition of
@@ -52,6 +55,10 @@ TRIAL_BLOCK = 4096
 _SUBSET_LIMIT = 20
 # a single max-term carrying >=10% of the sample total marks a heavy tail
 _HEAVY_TAIL_SHARE = 0.10
+# paper_T_series stops here even when the tail bound is still above tol
+_SERIES_CAP = 10_000_000
+# elements per (k-block x n) array in paper_T_series
+_SERIES_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,29 +110,63 @@ def win_prob_by(k: int, params: GameParams) -> float:
     return float(np.prod(1.0 - p ** float(k)))
 
 
+def _first_within(k_lo: int, k_hi: int, logs: np.ndarray, one_minus: np.ndarray,
+                  tol: float, rows: int) -> tuple[int, float]:
+    """First k >= k_lo whose union bound sum_i p_i^(k+1)/(1 - p_i) is <= tol,
+    or the cap, with that bound.
+
+    The bracket [k_lo, k_hi] is scanned first; past it only rounding in the
+    bracket's own logs could leave the first such k.
+    """
+    for lo, hi in ((k_lo, k_hi), (k_hi + 1, _SERIES_CAP)):
+        for k0 in range(lo, hi + 1, rows):
+            ks = np.arange(k0, min(k0 + rows, hi + 1), dtype=np.float64)
+            bounds = np.sum(np.exp((ks + 1.0)[:, None] * logs) / one_minus, axis=1)
+            hit = np.flatnonzero(bounds <= tol)
+            if hit.size:
+                return int(ks[hit[0]]), float(bounds[hit[0]])
+    return _SERIES_CAP, float(bounds[-1])
+
+
 def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
     """sum_{k>=1} (1 - prod_i (1 - p_i^k)) with a geometric tail certificate.
 
-    The tail past K is at most sum_i p_i^(K+1)/(1 - p_i) by the union bound.
+    The tail past K is at most B(K) = sum_i p_i^(K+1)/(1 - p_i) by the union
+    bound, and K is the first k with B(k) <= tol, capped at 10,000,000 terms
+    (then tail_bound is B(cap) and exceeds tol).  B(k) lies between its
+    largest term and p_max^(k+1) sum_i 1/(1 - p_i), which bracket K in closed
+    form; B is evaluated in blocks of k inside that bracket only.  The terms
+    are summed over (k-block x n) arrays of about 2^16 elements.
     """
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
     if params.n == 0:
         return SumResult(value=0.0, tail_bound=0.0, terms_used=0, method="series")
     p = np.asarray(params.p, dtype=np.float64)
     live = p > 0.0
+    if not np.any(live):
+        return SumResult(value=0.0, tail_bound=0.0, terms_used=1, method="series")
     logs = np.log(p[live])
     one_minus = 1.0 - p[live]
+    rows = max(1, _SERIES_BLOCK // logs.size)
+    # B(k) <= tol needs every term p_i^(k+1)/(1 - p_i) <= tol and holds once
+    # p_max^(k+1) sum_i 1/(1 - p_i) <= tol.  Two steps of slack at each end
+    # give B a margin of a factor p_max, larger than the rounding of these
+    # logs and of B until 1 - p_max nears 1e-13, far inside the cap.
+    log_tol = math.log(tol)
+    lower = np.max(np.ceil((log_tol + np.log(one_minus)) / logs)) - 3.0
+    upper = np.ceil((log_tol - math.log(np.sum(1.0 / one_minus))) / logs.max()) + 1.0
+    k_lo = int(np.clip(lower, 1, _SERIES_CAP))
+    k_hi = int(np.clip(upper, k_lo, _SERIES_CAP))
+    K, bound = _first_within(k_lo, k_hi, logs, one_minus, tol, rows)
     total = 0.0
-    k = 0
-    bound = math.inf
-    while True:
-        k += 1
-        # 1 - prod(1 - p_i^k), assembled in logs to keep tiny terms honest
-        pk_log = k * logs
-        total += -float(np.expm1(np.sum(np.log1p(-np.exp(pk_log)))))
-        bound = float(np.sum(np.exp((k + 1) * logs) / one_minus))
-        if bound <= tol or k >= 10_000_000:
-            break
-    return SumResult(value=total, tail_bound=bound, terms_used=k, method="series")
+    for k0 in range(1, K + 1, rows):
+        ks = np.arange(k0, min(k0 + rows, K + 1), dtype=np.float64)
+        # 1 - prod(1 - p_i^k) = 1 - win_prob_by(k), assembled in logs to keep
+        # tiny terms honest
+        log_win = np.sum(np.log1p(-np.exp(ks[:, None] * logs)), axis=1)
+        total -= float(np.sum(np.expm1(log_win)))
+    return SumResult(value=total, tail_bound=bound, terms_used=K, method="series")
 
 
 def paper_T_inclusion_exclusion(params: GameParams) -> float:

@@ -46,6 +46,12 @@ def test_game_exact_report(capsys):
     assert report["results"]["inclusion_exclusion"] == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
+def test_game_exact_rejects_bad_tol(capsys):
+    code, out, err = run_cli(capsys, "game", "exact", "--p", "0.5", "--tol", "-1")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_zeta_divergent_exit_code(capsys):
     code, _, err = run_cli(capsys, "zeta", "--dist", "riemann", "--s-eval", "1")
     assert code == 1

@@ -158,7 +158,38 @@ def test_tabulated_ppf_inverts_cdf():
     dist = perturbed_linear()
     u = np.linspace(0.001, 0.999, 41)
     x = dist.ppf(u)
-    assert np.max(np.abs(np.asarray(dist.cdf(x)) - u)) <= 1e-11
+    assert np.max(np.abs(np.asarray(dist.cdf(x)) - u)) <= 1e-13
+
+
+def edge_zero_table():
+    # 21 nodes with f(1) = 0, a beta = 1 edge
+    x = np.linspace(0.0, 1.0, 21)
+    f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
+    f[-1] = 0.0
+    return TabulatedDensity(x, f, normalize=True)
+
+
+def zero_segment_table():
+    # zero density at x = 0 and on the whole segment [0.4, 0.6]
+    return TabulatedDensity([0.0, 0.2, 0.4, 0.6, 1.0], [0.0, 2.0, 0.0, 0.0, 2.5], normalize=True)
+
+
+@pytest.mark.parametrize("make", [edge_zero_table, zero_segment_table])
+def test_tabulated_ppf_round_trip(make):
+    dist = make()
+    u = np.random.default_rng(11).random(100_000)
+    x = dist.ppf(u)
+    assert np.all((x >= 0.0) & (x <= 1.0))
+    assert np.all(np.diff(x[np.argsort(u)]) >= 0.0)
+    assert np.max(np.abs(np.asarray(dist.cdf(x)) - u)) <= 1e-13
+
+
+@pytest.mark.parametrize("make", [perturbed_linear, edge_zero_table, zero_segment_table])
+def test_tabulated_ppf_edges(make):
+    dist = make()
+    top = dist._cum[-1]
+    assert dist.ppf(0.0) == 0.0
+    assert np.all(dist.ppf(np.array([top, np.nextafter(top, 2.0), 1.0])) == 1.0)
 
 
 # ---------------------------------------------------------------------------

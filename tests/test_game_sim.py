@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momzeta.binom_sums import predict
-from momzeta.dist_core import BetaEdge, Uniform
+from momzeta.dist_core import BetaEdge, TabulatedDensity, Uniform
 from momzeta.errors import TooManySets
 from momzeta.game_sim import (
     TRIAL_BLOCK,
@@ -81,6 +81,40 @@ def test_oracles_agree_on_random_instances():
         assert abs(series - subsets) <= 1e-9
 
 
+def _first_k_within(p, tol):
+    # the union bound sum_i p_i^(k+1)/(1 - p_i) of the series tail past k
+    k = 1
+    while sum(v ** (k + 1) / (1.0 - v) for v in p if v > 0.0) > tol:
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p_max", [0.99, 0.999])
+@pytest.mark.parametrize("seed, tol", [(1, 1e-10), (2, 1e-11), (3, 1e-12), (4, 1e-13)])
+def test_oracles_agree_near_one(p_max, seed, tol):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 17))
+    params = GameParams([p_max, *rng.uniform(0.0, p_max, size=n - 1)])
+    res = paper_T_series(params, tol=tol)
+    assert abs(res.value - paper_T_inclusion_exclusion(params)) <= 1e-9
+    assert res.terms_used == _first_k_within(params.p, tol)
+
+
+def test_series_stops_at_cap():
+    p = 0.9999999
+    res = paper_T_series(GameParams([p]), tol=1e-12)
+    assert res.terms_used == 10_000_000
+    assert res.tail_bound == pytest.approx(p ** 10_000_001 / (1.0 - p), rel=1e-8)
+    # one set: the terms are p^k, so the partial sum is geometric
+    assert res.value == pytest.approx(p * (1.0 - p ** 10_000_000) / (1.0 - p), rel=1e-8)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+def test_series_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be positive"):
+        paper_T_series(GameParams([0.5]), tol=tol)
+
+
 def test_expected_rounds_examples():
     assert expected_rounds(GameParams([0.5])) == pytest.approx(2.0, abs=1e-11)
     assert expected_rounds(GameParams([0.5, 0.5])) == pytest.approx(8.0 / 3.0, abs=1e-11)
@@ -137,6 +171,18 @@ def test_run_trials_random_p_matches_alt_sum_target():
     # the exact mean sits within 10% of the growth-law prediction plus 1
     guide = predict("mainisdef", 100, c=2.0, beta=1.0).value + 1.0
     assert 0.9 <= rep.target / guide <= 1.1
+
+
+def test_run_trials_random_p_tabulated_pinned():
+    # 21 nodes of (1 - x)(1 + 0.3 sin 7x) with f(1) = 0: sampled through ppf
+    x = np.linspace(0.0, 1.0, 21)
+    f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
+    f = f / np.trapezoid(f, x)
+    f[-1] = 0.0
+    dist = TabulatedDensity(x, f, edge=(f[-2] / (x[-1] - x[-2]), 1.0))
+    rep = run_trials("random-p", dist, trials=8192, seed=3, n=20)
+    assert rep.mean == 9.452392578125
+    assert rep.variance == 235.79018839036365
 
 
 def test_run_trials_random_p_uniform_flags_heavy_tail():
