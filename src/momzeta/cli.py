@@ -118,6 +118,13 @@ def _report(config: dict, results) -> str:
     return json_dumps({"schema": SCHEMA_VERSION, "config": config, "results": results})
 
 
+def _warn_if_missed(what: str, tail_bound: float, tol: float) -> None:
+    # a sum stopped by a cap, or asked for a tol under its rounding, returns
+    # a bound above tol; the report itself stays as it is
+    if tail_bound > tol:
+        print(f"warning: {what}: tail_bound {tail_bound:.3g} exceeds tol {tol:g}", file=sys.stderr)
+
+
 # ---------------------------------------------------------------------------
 # argument plumbing
 # ---------------------------------------------------------------------------
@@ -236,6 +243,7 @@ def _map_rows(fn, tasks: list[dict], workers: int) -> list[dict]:
 def _cmd_zeta(args, parser) -> int:
     ms = moment_sequence(_build_source(args, parser))
     res = _moment_zeta_sum(ms, args.s_eval, tol=args.tol)
+    _warn_if_missed("zeta", res.tail_bound, args.tol)
     config = {"command": "zeta", "dist": _dist_config(args), "s_eval": args.s_eval,
               "tol": args.tol}
     results = {"value": res.value, "tail_bound": res.tail_bound,
@@ -280,6 +288,8 @@ def _cmd_sum(args, parser) -> int:
         "c": pred_c, "beta": pred_beta, "s": args.s,
     }
     rows = _map_rows(_sum_row, [dict(base, n=n) for n in ns], args.workers)
+    for row in rows:
+        _warn_if_missed(f"sum n={row['n']}", row["tail_bound"], args.tol)
     config = {
         "command": "sum", "dist": _dist_config(args), "n": ns, "kmin": args.kmin,
         "tol": args.tol, "method": args.method, "predict": args.predict,
@@ -311,6 +321,7 @@ def _cmd_game(args, parser) -> int:
             parser.error("game exact needs --p")
         params = GameParams(_parse_list(args.p, parser, "--p"))
         series = game_sim.paper_T_series(params, tol=args.tol)
+        _warn_if_missed("game exact", series.tail_bound, args.tol)
         results = {
             "paper_T": series.value,
             "paper_T_tail_bound": series.tail_bound,

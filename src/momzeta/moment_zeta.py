@@ -1,12 +1,15 @@
 """Moment zeta sums Z(s) = sum_k m_k^s with certified truncation bounds.
 
-Two summation paths share the SumResult contract:
+One engine, ``certified_sum``, sums every series over the moment sequence in
+the package: Z(s) here and the alternating sums of ``binom_sums``.  It sums
+the head j <= J directly and closes the tail j > J one of two ways:
 
-* sequences with an exact power-law closed form get an Euler-Maclaurin tail
-  evaluation whose remainder is certified analytically;
-* generic sequences are truncated where the first-order bound
-  sum_{j>K} m_j^s <= (L+eps)^s K^(1-alpha s)/(alpha s - 1) drops below the
-  requested tolerance, with the constant L+eps certified empirically by
+* sequences with an exact power-law closed form add the tail order by order
+  in the expansion of the summand, each order in closed form by an
+  Euler-Maclaurin evaluation whose remainder is certified analytically;
+* generic sequences stop after the head, where the first-order bound
+  sum_{j>J} m_j^k <= (L+eps)^k J^(1-alpha k)/(alpha k - 1) has dropped below
+  the requested tolerance, with the constant L+eps certified empirically by
   scanning the summed range and inflating by 5%.
 
 The Riemann zeta function itself is ``moment_zeta(riemann_sequence(), s)``.
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,11 +34,13 @@ __all__ = [
     "power_tail_sum",
 ]
 
-# _EPS, _TAIL_SAFETY and _CHUNK are shared with binom_sums
 _EPS = sys.float_info.epsilon
 _TAIL_SAFETY = 1.05  # empirical inflation of the tail constant
-_GENERIC_CAP = 8_000_000
 _CHUNK = 1 << 20
+_HEAD_FLOOR = 1024
+_GENERIC_CAP = 16_000_000
+_POWER_LAW_J_CAP = 1 << 22
+_MAX_CORRECTION_ORDER = 60
 
 
 @dataclass(frozen=True)
@@ -71,14 +77,106 @@ def convergence_abscissa(ms: MomentSequence) -> float:
     return 1.0 / ms.tail.alpha
 
 
+def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
+                  weight: Callable[[float], int], powers: Sequence[float], tol: float,
+                  terms: int | None, n: int = 0) -> SumResult:
+    """sum_{j>=1} term(m_j), with a certified bound on what the sum leaves out.
+
+    ``term`` maps an array of moments to the summands.  Its expansion
+    term(m) = sum_{k in powers} weight(k) m^k lists the powers in increasing
+    order, with exact integer weights.  ``n`` is the binomial exponent of an
+    alternating sum (0 for Z(s)); it sizes the power-law head and the
+    rounding term.  The head is J = ``terms`` if given, otherwise
+    max(1024, need) under the cap of the path:
+
+    * a power-law sequence (L (j+shift)^(-alpha) exactly) adds the tail order
+      by order.  The Bonferroni envelope of an order bounds what stopping
+      before it leaves out, so the sweep stops at the first envelope below
+      tol/20, or past order 60.  need = ceil((8 n max(L, 1))^(1/alpha)) puts
+      n m_J below 1/8, where the orders shrink fast; the cap is 2^22.
+    * any other sequence keeps only the head, cut with the envelope of the
+      first order.  need is the smallest J at which that envelope is below
+      tol, with L inflated by 5%; the cap is 16M.
+    """
+    k0 = powers[0]
+    pl = ms.power_law
+    alpha, L = (pl.alpha, pl.L) if pl is not None else (ms.tail.alpha, ms.tail.L)
+    p = alpha * k0
+    if terms is not None:
+        J = max(1, int(terms))
+    elif pl is not None:
+        J = min(max(_HEAD_FLOOR, math.ceil((8.0 * n * max(L, 1.0)) ** (1.0 / alpha))),
+                _POWER_LAW_J_CAP)
+    else:
+        lhat = _TAIL_SAFETY * L
+        # floor + 1, not ceil: at an exact integer the truncation term alone
+        # equals tol and the rounding term would push the bound past it
+        need = math.floor((abs(weight(k0)) * lhat**k0 / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
+        J = min(max(_HEAD_FLOOR, need), _GENERIC_CAP)
+    total = 0.0
+    abs_acc = 0.0
+    sup_scaled = 0.0
+    for lo in range(1, J + 1, _CHUNK):
+        hi = min(J, lo + _CHUNK - 1)
+        j = np.arange(lo, hi + 1, dtype=np.float64)
+        m = ms.moments(j)
+        if pl is None:
+            sup_scaled = max(sup_scaled, float(np.max(j**alpha * m)))
+        t = term(m)
+        total += float(np.sum(t))
+        abs_acc += float(np.sum(np.abs(t)))
+    rounding = 8.0 * _EPS * (abs_acc + n)
+    if pl is None:
+        lhat = _TAIL_SAFETY * max(L, sup_scaled)
+        bound = abs(weight(k0)) * lhat**k0 * float(J) ** (1.0 - p) / (p - 1.0) + rounding
+        return SumResult(value=total, tail_bound=bound, terms_used=J, method="bonferroni-tail")
+
+    em_err = 0.0
+    corr_rounding = 0.0
+    start = J + 1.0 + pl.shift
+    log_l = math.log(L)
+    for k in powers:
+        t, terr = power_tail_sum(alpha * k, start)
+        w = weight(k)
+        # the log of the exact integer weight: for C(n,k), an lgamma
+        # difference is off by ~log(n!) eps, which the order-2 correction
+        # (up to ~1e4) turns into an error above the bound at n >= 1e4
+        log_w = math.log(abs(w)) + k * log_l
+        if k > k0:
+            if t + terr <= 0.0:
+                remainder = 0.0
+                break
+            remainder = math.exp(log_w + math.log(t + terr))
+            if remainder < tol * 0.05 or k > _MAX_CORRECTION_ORDER:
+                break
+        if t > 0.0:
+            log_t = math.log(t)
+            corr = math.exp(log_w + log_t)
+            total += math.copysign(corr, w)
+            # exp turns the absolute rounding of its argument, a few eps
+            # times the magnitudes summed into it, into relative error
+            corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0)
+        if terr > 0.0:
+            em_err += math.exp(log_w + math.log(terr))
+    else:
+        # every order is in: the expansion is exact
+        remainder = 0.0
+    bound = remainder + em_err + rounding + _EPS * corr_rounding
+    return SumResult(value=total, tail_bound=bound, terms_used=J, method="power-law-tail")
+
+
 def moment_zeta(
     ms: MomentSequence, s: float, tol: float = 1e-10, *, terms: int | None = None
 ) -> SumResult:
     """sum_{k>=1} m_k^s with a certified truncation bound.
 
     Requires s strictly above the convergence abscissa; the result is within
-    tol + tail_bound of the true sum (tail_bound can exceed tol only when the
-    generic truncation index is capped).
+    tail_bound of the true sum.  A power-law sequence (method
+    "power-law-tail") sums 1024 moments and closes the rest with its
+    Euler-Maclaurin tail; any other sequence (method "bonferroni-tail") sums
+    as many as its first-order cut needs to meet tol, at least 1024 and at
+    most 16M.  tail_bound exceeds tol when that cap stops the head or tol is
+    below the rounding of the sum.
 
     ``terms`` fixes the number of moments summed directly on both paths; a
     power-law sequence still closes the rest with its Euler-Maclaurin tail.
@@ -93,41 +191,4 @@ def moment_zeta(
         raise Divergence(
             f"moment zeta sum diverges at s={s}: needs s > 1/alpha = {1.0 / alpha:.6g}"
         )
-
-    if ms.power_law is not None:
-        pl = ms.power_law
-        p = pl.alpha * s
-        n_terms = 4096 if terms is None else max(1, int(terms))
-        j = np.arange(1, n_terms + 1, dtype=np.float64)
-        partial = float(np.sum(ms.moments(j) ** s))
-        t, terr = power_tail_sum(p, n_terms + 1 + pl.shift)
-        value = partial + pl.L**s * t
-        bound = pl.L**s * terr + 8.0 * _EPS * (abs(partial) + abs(value))
-        return SumResult(value=value, tail_bound=bound, terms_used=n_terms, method="power-law-tail")
-
-    L = ms.tail.L
-    p = alpha * s
-    if terms is None:
-        lhat = _TAIL_SAFETY * L
-        # floor + 1, not ceil: at an exact integer the truncation term alone
-        # equals tol and the rounding term would push the bound past it
-        n_terms = math.floor((lhat**s / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
-        n_terms = min(max(n_terms, 64), _GENERIC_CAP)
-    else:
-        n_terms = max(1, int(terms))
-    partial = 0.0
-    abs_acc = 0.0
-    sup_scaled = 0.0
-    for lo in range(1, n_terms + 1, _CHUNK):
-        hi = min(n_terms, lo + _CHUNK - 1)
-        j = np.arange(lo, hi + 1, dtype=np.float64)
-        m = ms.moments(j)
-        sup_scaled = max(sup_scaled, float(np.max(j**alpha * m)))
-        block = float(np.sum(m**s))
-        partial += block
-        abs_acc += block
-    lhat = _TAIL_SAFETY * max(L, sup_scaled)
-    bound = lhat**s * float(n_terms) ** (1.0 - p) / (p - 1.0) + 8.0 * _EPS * abs_acc
-    return SumResult(
-        value=partial, tail_bound=bound, terms_used=n_terms, method="bonferroni-tail"
-    )
+    return certified_sum(ms, lambda m: m**s, lambda k: 1, (s,), tol, terms)

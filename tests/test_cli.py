@@ -128,6 +128,44 @@ def test_sum_json_row_keys(capsys):
         assert list(row) == ["n", "value", "prediction", "residual", "tail_bound", "terms_used"]
 
 
+@pytest.mark.parametrize(
+    "argv, warning",
+    [
+        # the series stops at its 10M-term cap
+        (("game", "exact", "--p", "0.9999999", "--tol", "1e-12"),
+         "warning: game exact: tail_bound 3.68e+06 exceeds tol 1e-12"),
+        # the head stops at its 2^22 cap with n m_J still near 23
+        (("sum", "--dist", "riemann-scaled", "--s", "0.55", "--kmin", "2", "--n", "100000",
+          "--tol", "25"),
+         "warning: sum n=100000: tail_bound 1.63e+04 exceeds tol 25"),
+        # a tol under the rounding of a sum near 1.6
+        (("zeta", "--dist", "riemann", "--s-eval", "2", "--tol", "1e-15"),
+         "warning: zeta: tail_bound 2.92e-15 exceeds tol 1e-15"),
+    ],
+    ids=["game-exact-cap", "sum-power-law-cap", "zeta-rounding"],
+)
+def test_missed_tol_warns_on_stderr(capsys, argv, warning):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert err == warning + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("game", "exact", "--p", "0.5,0.5"),
+        ("sum", "--dist", "riemann", "--n", "10,100", "--kmin", "2"),
+        ("sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-4"),
+        ("zeta", "--dist", "riemann", "--s-eval", "2"),
+    ],
+    ids=["game-exact", "sum-power-law", "sum-generic", "zeta"],
+)
+def test_met_tol_writes_no_stderr(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out
+    assert err == ""
+
+
 def test_predict_matches_library(capsys):
     code, out, _ = run_cli(capsys, "predict", "--kind", "mainisdef", "--c", "2", "--beta", "1",
                            "--n", "10000")

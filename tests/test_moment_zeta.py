@@ -23,6 +23,8 @@ ZETA4 = 1.0823232337111381915
 
 def test_zeta2_matches_pi_squared_over_six():
     res = moment_zeta(riemann_sequence(), 2)
+    # the power-law head is the 1024 floor: the Euler-Maclaurin tail closes the rest
+    assert res.terms_used == 1024
     assert abs(res.value - math.pi**2 / 6.0) <= 1e-13
     assert abs(res.value - ZETA2) <= res.tail_bound + 1e-15
 
