@@ -40,8 +40,7 @@ from .moment_zeta import moment_zeta as _moment_zeta_sum
 
 SCHEMA_VERSION = 1
 _DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
-# --dist -> zeta source of the naive oracle, called with --s; looked up inside
-# the worker because the mpmath closures it returns cannot be pickled
+# --dist -> zeta source of the naive oracle, called with --s
 _NAIVE_SOURCES = {
     "riemann": lambda s: binom_sums.riemann_zeta_source(),
     "uniform": lambda s: binom_sums.uniform_zeta_source(),
@@ -191,52 +190,6 @@ def _resolve_seed(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# worker tasks (module level so process pools can pickle them)
-# ---------------------------------------------------------------------------
-
-def _sum_row(task: dict) -> dict:
-    ms = task["ms"]
-    n = task["n"]
-    if task["method"] == "stable":
-        res = binom_sums.alt_sum_stable(ms, n, kmin=task["kmin"], tol=task["tol"])
-        value, tail_bound, terms = res.value, res.tail_bound, res.terms_used
-    else:
-        source = _NAIVE_SOURCES[task["dist"]](task["s"])
-        value = binom_sums.alt_sum_naive(n, task["kmin"], source)
-        tail_bound, terms = 0.0, n - task["kmin"] + 1
-    row = {"n": n, "value": value, "prediction": None, "residual": None,
-           "tail_bound": tail_bound, "terms_used": terms}
-    if task["predict"] is not None:
-        pred = binom_sums.predict(
-            task["predict"], n, c=task.get("c"), beta=task.get("beta"), s=task.get("s")
-        ).value
-        row["prediction"] = pred
-        # mainisdef and riemann_scaled predict the magnitude of a negative sum
-        measured = abs(value) if task["predict"] in ("mainisdef", "riemann_scaled") else value
-        row["residual"] = measured - pred
-    return row
-
-
-def _dn_row(task: dict) -> dict:
-    res = euler_maclaurin.defect_dnform(task["n"], tol=task["tol"])
-    return {
-        "n": res.n,
-        "d_n": res.d_value,
-        "abs_dev": abs(res.deviation),
-        "scaled_dev": res.n * abs(res.deviation),
-    }
-
-
-def _map_rows(fn, tasks: list[dict], workers: int) -> list[dict]:
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
-
-
-# ---------------------------------------------------------------------------
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
@@ -280,27 +233,35 @@ def _cmd_sum(args, parser) -> int:
     if args.predict in ("mainisdef", "alpha1") and pred_c is None:
         if not isinstance(source, PowerMoments):
             pred_c, pred_beta = source.edge_params()
-    if args.method == "naive" and args.dist not in _NAIVE_SOURCES:
-        parser.error("--method naive supports riemann, riemann-scaled and uniform only")
-    base = {
-        "ms": ms, "kmin": args.kmin, "tol": args.tol, "method": args.method,
-        "dist": args.dist, "predict": args.predict,
-        "c": pred_c, "beta": pred_beta, "s": args.s,
-    }
-    rows = _map_rows(_sum_row, [dict(base, n=n) for n in ns], args.workers)
-    for row in rows:
-        _warn_if_missed(f"sum n={row['n']}", row["tail_bound"], args.tol)
+    if args.method == "naive":
+        if args.dist not in _NAIVE_SOURCES:
+            parser.error("--method naive supports riemann, riemann-scaled and uniform only")
+        zeta_source = _NAIVE_SOURCES[args.dist](args.s)
+    rows = []
+    for n in ns:
+        if args.method == "stable":
+            res = binom_sums.alt_sum_stable(ms, n, kmin=args.kmin, tol=args.tol)
+            value, tail_bound, terms = res.value, res.tail_bound, res.terms_used
+        else:
+            value = binom_sums.alt_sum_naive(n, args.kmin, zeta_source)
+            tail_bound, terms = 0.0, n - args.kmin + 1
+        _warn_if_missed(f"sum n={n}", tail_bound, args.tol)
+        pred = residual = None
+        if args.predict is not None:
+            pred = binom_sums.predict(args.predict, n, c=pred_c, beta=pred_beta, s=args.s).value
+            # mainisdef and riemann_scaled predict the magnitude of a negative sum
+            magnitude = args.predict in ("mainisdef", "riemann_scaled")
+            residual = (abs(value) if magnitude else value) - pred
+        rows.append({"n": n, "value": value, "prediction": pred, "residual": residual,
+                     "tail_bound": tail_bound, "terms_used": terms})
     config = {
         "command": "sum", "dist": _dist_config(args), "n": ns, "kmin": args.kmin,
         "tol": args.tol, "method": args.method, "predict": args.predict,
-        "workers": args.workers, "format": args.format,
+        "format": args.format,
     }
     if args.format == "csv":
-        text = _csv_text(
-            ("n", "value", "prediction", "residual", "tail_bound", "terms_used"),
-            [(r["n"], r["value"], r["prediction"], r["residual"], r["tail_bound"],
-              r["terms_used"]) for r in rows],
-        )
+        text = _csv_text(("n", "value", "prediction", "residual", "tail_bound", "terms_used"),
+                         [tuple(r.values()) for r in rows])
     else:
         text = _report(config, {"rows": rows})
     _write_output(text, args.output)
@@ -337,10 +298,9 @@ def _cmd_game(args, parser) -> int:
     seed = _resolve_seed(args)
     if args.p is not None:
         params = GameParams(_parse_list(args.p, parser, "--p"))
-        report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed,
-                                     workers=args.workers)
+        report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed)
         config = {"command": "game-simulate", "mode": "fixed-p", "p": list(params.p),
-                  "trials": args.trials, "seed": seed, "workers": args.workers}
+                  "trials": args.trials, "seed": seed}
     else:
         source = _build_source(args, parser)
         if isinstance(source, PowerMoments):
@@ -348,22 +308,20 @@ def _cmd_game(args, parser) -> int:
         if args.n_sets is None:
             parser.error("game simulate --dist ... needs --n-sets")
         report = game_sim.run_trials("random-p", source, trials=args.trials, seed=seed,
-                                     n=args.n_sets, workers=args.workers)
+                                     n=args.n_sets)
         config = {"command": "game-simulate", "mode": "random-p",
                   "dist": _dist_config(args), "n_sets": args.n_sets,
-                  "trials": args.trials, "seed": seed, "workers": args.workers}
+                  "trials": args.trials, "seed": seed}
     _write_output(_report(config, report.to_json_dict()), args.output)
     return 0
 
 
 def _cmd_dn(args, parser) -> int:
-    ns = _parse_list(args.n, parser, "--n", int)
-    rows = _map_rows(_dn_row, [{"n": n, "tol": args.tol} for n in ns], args.workers)
-    text = _csv_text(
-        ("n", "d_n", "abs_dev", "scaled_dev"),
-        [(r["n"], r["d_n"], r["abs_dev"], r["scaled_dev"]) for r in rows],
-    )
-    _write_output(text, args.output)
+    rows = []
+    for n in _parse_list(args.n, parser, "--n", int):
+        res = euler_maclaurin.defect_dnform(n, tol=args.tol)
+        rows.append((res.n, res.d_value, abs(res.deviation), res.n * abs(res.deviation)))
+    _write_output(_csv_text(("n", "d_n", "abs_dev", "scaled_dev"), rows), args.output)
     return 0
 
 
@@ -416,12 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt_default=None, workers=False, seed=False):
+    def common(p, fmt_default=None, seed=False):
         p.add_argument("-o", "--output", help="output file (default stdout)")
         if fmt_default:
             p.add_argument("--format", choices=("json", "csv"), default=fmt_default)
-        if workers:
-            p.add_argument("--workers", type=int, default=1, help="parallel workers for sweeps")
         if seed:
             p.add_argument("--seed", type=int, help="RNG seed (fallback: MOMZETA_SEED, then 42)")
 
@@ -447,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("stable", "naive"), default="stable")
     p.add_argument("--predict", choices=binom_sums.PREDICTION_KINDS,
                    help="add prediction and residual columns")
-    common(p, fmt_default="csv", workers=True)
+    common(p, fmt_default="csv")
     p.set_defaults(func=_cmd_sum)
 
     p = sub.add_parser("predict", help="evaluate a growth law")
@@ -471,13 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dist_args(ps)
     ps.add_argument("--n-sets", type=int, help="number of sets in random-p mode")
     ps.add_argument("--trials", type=int, default=100_000)
-    common(ps, workers=True, seed=True)
+    common(ps, seed=True)
     ps.set_defaults(func=_cmd_game, game_cmd="simulate")
 
     p = sub.add_parser("dn", help="sum-integral defect sweep")
     p.add_argument("--n", required=True, help="comma-separated n values")
     p.add_argument("--tol", type=float, default=1e-12)
-    common(p, workers=True)
+    common(p)
     p.set_defaults(func=_cmd_dn)
 
     p = sub.add_parser("identity", help="limit-integral identity checks")

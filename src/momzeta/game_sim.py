@@ -20,16 +20,15 @@ closed-form bracket for K, and the terms are summed in numpy blocks of k, so
 p_max near 1 costs milliseconds, not a Python loop over k.
 
 Reproducibility: trials are processed in fixed blocks of 4096, each block
-drawing from a Philox stream keyed by (seed, block index).  Any partition of
-blocks across workers reproduces the serial result bit for bit, because block
-statistics are reduced in block order.
+drawing from a Philox stream keyed by (seed, block index), and the block
+statistics accumulate in block order, so a seed fixes the report bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -224,54 +223,28 @@ def _games_random_p(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> n
     return g.max(axis=1)
 
 
-def _reduce_blocks(block_stats: Sequence[tuple[float, float, float]], trials: int):
+def _zeta_draws(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> np.ndarray:
+    """m draws of 1/(1 - x_1 ... x_n), the x_i independent from dist."""
+    x = np.asarray(dist.ppf(rng.random((m, n))), dtype=np.float64)
+    return 1.0 / (1.0 - np.prod(x, axis=1))
+
+
+def _sim_blocks(draw: Callable[[int, Generator], np.ndarray], trials: int, seed: int):
+    """Run trials in fixed blocks, block b drawing ``draw(m, rng)`` from the
+    stream keyed by (seed, b); block sums accumulate in block order."""
     total = 0.0
     total_sq = 0.0
     top = 0.0
-    for s, sq, mx in block_stats:
-        total += s
-        total_sq += sq
-        top = max(top, mx)
+    for b0 in range(0, trials, TRIAL_BLOCK):
+        out = draw(min(TRIAL_BLOCK, trials - b0), _block_rng(seed, b0 // TRIAL_BLOCK))
+        total += float(out.sum())
+        total_sq += float((out * out).sum())
+        top = max(top, float(out.max()))
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / max(trials - 1, 1)
     stderr = math.sqrt(variance / trials)
     heavy = trials >= 100 and top >= _HEAVY_TAIL_SHARE * total
     return mean, variance, stderr, heavy
-
-
-def _draw_block(task: dict) -> tuple[float, float, float]:
-    """One block of trials; module-level so worker pools can pickle it."""
-    rng = _block_rng(task["seed"], task["index"])
-    kind = task["kind"]
-    m = task["m"]
-    if kind == "fixed":
-        out = _games_fixed(task["params"], m, rng)
-    elif kind == "random":
-        out = _games_random_p(task["dist"], task["n"], m, rng)
-    elif kind == "zeta":
-        x = np.asarray(task["dist"].ppf(rng.random((m, task["n"]))), dtype=np.float64)
-        out = 1.0 / (1.0 - np.prod(x, axis=1))
-    else:  # pragma: no cover
-        raise ValueError(f"unknown block kind {kind!r}")
-    return (float(out.sum()), float((out * out).sum()), float(out.max()))
-
-
-def _sim_blocks(base: dict, trials: int, seed: int, workers: int = 1):
-    """Run trials in fixed blocks; block stats reduce in index order, so any
-    worker count reproduces the serial result exactly."""
-    tasks = [
-        dict(base, seed=seed, index=b0 // TRIAL_BLOCK, m=min(TRIAL_BLOCK, trials - b0))
-        for b0 in range(0, trials, TRIAL_BLOCK)
-    ]
-    if workers > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        chunk = max(1, len(tasks) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            stats = list(pool.map(_draw_block, tasks, chunksize=chunk))
-    else:
-        stats = [_draw_block(t) for t in tasks]
-    return _reduce_blocks(stats, trials)
 
 
 def run_trials(
@@ -280,7 +253,6 @@ def run_trials(
     trials: int,
     seed: int,
     n: int | None = None,
-    workers: int = 1,
 ) -> SimulationReport:
     """Aggregate many plays of the game, deterministically in seed.
 
@@ -288,8 +260,7 @@ def run_trials(
     is the exact expected_rounds.  mode="random-p": each trial draws fresh
     p_1..p_n from ``source`` (p = 1.0 draws are rejected and resampled); the
     target is 1 - A(n; 1) over the distribution's moment sequence when that
-    sum converges, otherwise the report is flagged divergent.  Any worker
-    count reproduces the single-worker report.
+    sum converges, otherwise the report is flagged divergent.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -298,7 +269,7 @@ def run_trials(
             raise TypeError("fixed-p mode needs GameParams")
         params = source
         mean, variance, stderr, heavy = _sim_blocks(
-            {"kind": "fixed", "params": params}, trials, seed, workers
+            lambda m, rng: _games_fixed(params, m, rng), trials, seed
         )
         target = expected_rounds(params, tol=1e-10)
         return SimulationReport(
@@ -311,8 +282,9 @@ def run_trials(
             raise TypeError("random-p mode needs an EdgeDistribution")
         if n is None or n < 1:
             raise ValueError("random-p mode needs the number of sets n >= 1")
+        n = int(n)
         mean, variance, stderr, heavy = _sim_blocks(
-            {"kind": "random", "dist": source, "n": int(n)}, trials, seed, workers
+            lambda m, rng: _games_random_p(source, n, m, rng), trials, seed
         )
         ms = moment_sequence(source)
         if ms.tail is not None and ms.tail.alpha > 1.0:
@@ -330,7 +302,7 @@ def run_trials(
 
 
 def zeta_expectation_mc(
-    dist: EdgeDistribution, n: int, trials: int, seed: int, workers: int = 1
+    dist: EdgeDistribution, n: int, trials: int, seed: int
 ) -> SimulationReport:
     """Monte Carlo mean of 1/(1 - x_1 ... x_n) over independent draws from dist.
 
@@ -346,7 +318,7 @@ def zeta_expectation_mc(
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = int(n)
     mean, variance, stderr, heavy = _sim_blocks(
-        {"kind": "zeta", "dist": dist, "n": n}, trials, seed, workers
+        lambda m, rng: _zeta_draws(dist, n, m, rng), trials, seed
     )
     ms = moment_sequence(dist)
     try:

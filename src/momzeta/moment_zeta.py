@@ -77,6 +77,17 @@ def convergence_abscissa(ms: MomentSequence) -> float:
     return 1.0 / ms.tail.alpha
 
 
+def _generic_head(w: int, lhat: float, k0: float, p: float, tol: float) -> int:
+    """The smallest J with w lhat^k0 J^(1-p)/(p-1) < tol, clamped to [1024, 16M]."""
+    log_need = (math.log(w) + k0 * math.log(lhat) - math.log(tol) - math.log(p - 1.0)) / (p - 1.0)
+    if log_need >= math.log(_GENERIC_CAP):  # need itself overflows a float as p -> 1+
+        return _GENERIC_CAP
+    # floor + 1, not ceil: at an exact integer the truncation term alone
+    # equals tol and the rounding term would push the bound past it
+    need = math.floor((w * lhat**k0 / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
+    return min(max(_HEAD_FLOOR, need), _GENERIC_CAP)
+
+
 def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
                   weight: Callable[[float], int], powers: Sequence[float], tol: float,
                   terms: int | None, n: int = 0) -> SumResult:
@@ -96,7 +107,8 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
       n m_J below 1/8, where the orders shrink fast; the cap is 2^22.
     * any other sequence keeps only the head, cut with the envelope of the
       first order.  need is the smallest J at which that envelope is below
-      tol, with L inflated by 5%; the cap is 16M.
+      tol, with the constant max(L, sup j^alpha m_j over j <= 1024) inflated
+      by 5%; the cap is 16M.
     """
     k0 = powers[0]
     pl = ms.power_law
@@ -108,26 +120,29 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
         J = min(max(_HEAD_FLOOR, math.ceil((8.0 * n * max(L, 1.0)) ** (1.0 / alpha))),
                 _POWER_LAW_J_CAP)
     else:
-        lhat = _TAIL_SAFETY * L
-        # floor + 1, not ceil: at an exact integer the truncation term alone
-        # equals tol and the rounding term would push the bound past it
-        need = math.floor((abs(weight(k0)) * lhat**k0 / (tol * (p - 1.0))) ** (1.0 / (p - 1.0))) + 1
-        J = min(max(_HEAD_FLOOR, need), _GENERIC_CAP)
+        J = _HEAD_FLOOR  # sized once the first chunk has been scanned
     total = 0.0
     abs_acc = 0.0
-    sup_scaled = 0.0
-    for lo in range(1, J + 1, _CHUNK):
-        hi = min(J, lo + _CHUNK - 1)
+    log_sup = -math.inf  # log of sup_j j^alpha m_j over the head, generic path
+    # a generic head sums j <= 1024 as its own first chunk, and J is sized
+    # from that chunk's sup of j^alpha m_j, the constant its bound uses
+    lo, hi = 1, min(J, _CHUNK if pl is not None else _HEAD_FLOOR)
+    while lo <= J:
         j = np.arange(lo, hi + 1, dtype=np.float64)
         m = ms.moments(j)
         if pl is None:
-            sup_scaled = max(sup_scaled, float(np.max(j**alpha * m)))
+            with np.errstate(divide="ignore"):
+                log_sup = max(log_sup, float(np.max(alpha * np.log(j) + np.log(m))))
+            if terms is None and lo == 1:
+                J = _generic_head(abs(weight(k0)), _TAIL_SAFETY * max(L, math.exp(log_sup)),
+                                  k0, p, tol)
         t = term(m)
         total += float(np.sum(t))
         abs_acc += float(np.sum(np.abs(t)))
+        lo, hi = hi + 1, min(J, hi + _CHUNK)
     rounding = 8.0 * _EPS * (abs_acc + n)
     if pl is None:
-        lhat = _TAIL_SAFETY * max(L, sup_scaled)
+        lhat = _TAIL_SAFETY * max(L, math.exp(log_sup))
         bound = abs(weight(k0)) * lhat**k0 * float(J) ** (1.0 - p) / (p - 1.0) + rounding
         return SumResult(value=total, tail_bound=bound, terms_used=J, method="bonferroni-tail")
 

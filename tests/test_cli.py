@@ -87,13 +87,6 @@ def test_sum_naive_matches_stable(capsys):
     assert abs(stable - naive) <= 1e-8
 
 
-def test_sum_worker_invariance(capsys):
-    args = ("sum", "--dist", "riemann", "--n", "10,20,30", "--kmin", "2")
-    _, serial, _ = run_cli(capsys, *args)
-    _, parallel, _ = run_cli(capsys, *args, "--workers", "3")
-    assert serial == parallel
-
-
 @pytest.mark.parametrize(
     "beta, kmin, code, message",
     [
@@ -141,8 +134,11 @@ def test_sum_json_row_keys(capsys):
         # a tol under the rounding of a sum near 1.6
         (("zeta", "--dist", "riemann", "--s-eval", "2", "--tol", "1e-15"),
          "warning: zeta: tail_bound 2.92e-15 exceeds tol 1e-15"),
+        # just above the abscissa 1/2 the generic head stops at its 16M cap
+        (("zeta", "--dist", "beta", "--beta", "1", "--s-eval", "0.5000001", "--tol", "1e-12"),
+         "warning: zeta: tail_bound 7.25e+06 exceeds tol 1e-12"),
     ],
-    ids=["game-exact-cap", "sum-power-law-cap", "zeta-rounding"],
+    ids=["game-exact-cap", "sum-power-law-cap", "zeta-rounding", "zeta-generic-cap"],
 )
 def test_missed_tol_warns_on_stderr(capsys, argv, warning):
     code, out, err = run_cli(capsys, *argv)
@@ -221,12 +217,15 @@ _BARE_ARGV = {
     "identity": ["identity"],
     "sum": ["sum", "--dist", "riemann", "--n", "10"],
     "dn": ["dn", "--n", "10"],
+    "game-simulate": ["game", "simulate", "--p", "0.5"],
     "verify": ["verify", "--criteria", "5"],
 }
 _UNREAD_FLAGS = [
     *((cmd, flag) for cmd in ("zeta", "moments", "predict", "game-exact", "identity")
       for flag in ("--workers", "--seed")),
     ("sum", "--seed"), ("dn", "--seed"), ("verify", "--workers"),
+    # every sweep and simulation runs in the calling process
+    ("sum", "--workers"), ("dn", "--workers"), ("game-simulate", "--workers"),
 ]
 
 
