@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -217,10 +218,7 @@ def criterion_8(seed: int = 42) -> CriterionResult:
     params = GameParams([0.5, 0.3])
     trials = 10**5
     counts: dict[int, int] = {}
-    for b0 in range(0, trials, game_sim.TRIAL_BLOCK):
-        m = min(game_sim.TRIAL_BLOCK, trials - b0)
-        rng = game_sim._block_rng(seed + 1, b0 // game_sim.TRIAL_BLOCK)
-        out = game_sim._games_fixed(params, m, rng)
+    for out in game_sim._blocks(partial(game_sim._games_fixed, params), trials, seed + 1):
         for v, c in zip(*np.unique(out.astype(np.int64), return_counts=True)):
             counts[int(v)] = counts.get(int(v), 0) + int(c)
     kmax = max(counts)

@@ -208,6 +208,8 @@ def _cmd_zeta(args, parser) -> int:
 def _cmd_moments(args, parser) -> int:
     import numpy as np
 
+    if args.k_max < 1 or args.points < 1:
+        parser.error("--k-max and --points must be >= 1")
     source = _build_source(args, parser)
     if isinstance(source, PowerMoments):
         parser.error("moments needs a distribution, not an abstract sequence")
@@ -276,27 +278,30 @@ def _cmd_predict(args, parser) -> int:
     return 0
 
 
-def _cmd_game(args, parser) -> int:
-    if args.game_cmd == "exact":
-        if args.p is None:
-            parser.error("game exact needs --p")
-        params = GameParams(_parse_list(args.p, parser, "--p"))
-        series = game_sim.paper_T_series(params, tol=args.tol)
-        _warn_if_missed("game exact", series.tail_bound, args.tol)
-        results = {
-            "paper_T": series.value,
-            "paper_T_tail_bound": series.tail_bound,
-            "expected_rounds": 1.0 + series.value,
-            "inclusion_exclusion": (
-                game_sim.paper_T_inclusion_exclusion(params) if params.n <= 20 else None
-            ),
-        }
-        config = {"command": "game-exact", "p": list(params.p), "tol": args.tol}
-        _write_output(_report(config, results), args.output)
-        return 0
-    # simulate
+def _cmd_game_exact(args, parser) -> int:
+    params = GameParams(_parse_list(args.p, parser, "--p"))
+    series = game_sim.paper_T_series(params, tol=args.tol)
+    _warn_if_missed("game exact", series.tail_bound, args.tol)
+    results = {
+        "paper_T": series.value,
+        "paper_T_tail_bound": series.tail_bound,
+        "expected_rounds": 1.0 + series.value,
+        "inclusion_exclusion": (
+            game_sim.paper_T_inclusion_exclusion(params) if params.n <= 20 else None
+        ),
+    }
+    config = {"command": "game-exact", "p": list(params.p), "tol": args.tol}
+    _write_output(_report(config, results), args.output)
+    return 0
+
+
+def _cmd_game_simulate(args, parser) -> int:
     seed = _resolve_seed(args)
     if args.p is not None:
+        random_p = ("dist", "beta", "c", "table", "s", "n_sets")
+        given = [f"--{f.replace('_', '-')}" for f in random_p if getattr(args, f) is not None]
+        if given:
+            parser.error(f"game simulate --p takes no random-p flags, got {', '.join(given)}")
         params = GameParams(_parse_list(args.p, parser, "--p"))
         report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed)
         config = {"command": "game-simulate", "mode": "fixed-p", "p": list(params.p),
@@ -421,14 +426,14 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--p", required=True, help="comma-separated measures p_i in [0,1)")
     pe.add_argument("--tol", type=float, default=1e-12)
     common(pe)
-    pe.set_defaults(func=_cmd_game, game_cmd="exact")
+    pe.set_defaults(func=_cmd_game_exact)
     ps = gsub.add_parser("simulate", help="Monte Carlo game runs")
     ps.add_argument("--p", help="fixed measures p_i (fixed-p mode)")
     _add_dist_args(ps)
     ps.add_argument("--n-sets", type=int, help="number of sets in random-p mode")
     ps.add_argument("--trials", type=int, default=100_000)
     common(ps, seed=True)
-    ps.set_defaults(func=_cmd_game, game_cmd="simulate")
+    ps.set_defaults(func=_cmd_game_simulate)
 
     p = sub.add_parser("dn", help="sum-integral defect sweep")
     p.add_argument("--n", required=True, help="comma-separated n values")

@@ -15,9 +15,9 @@ Two exact oracles cross-check each other:
 Both equal E[T] - 1 (the k = 0 term of E[T] = sum_{k>=0} P(T > k) is always
 1 and is not part of the series); ``expected_rounds`` adds it back and is
 what simulations measure.  The series stops at the first K whose union
-bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol, found inside a
-closed-form bracket for K, and the terms are summed in numpy blocks of k, so
-p_max near 1 costs milliseconds, not a Python loop over k.
+bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol, found by bisection on
+k, and the terms are summed in numpy blocks of k, so p_max near 1 costs
+milliseconds, not a Python loop over k.
 
 Reproducibility: trials are processed in fixed blocks of 4096, each block
 drawing from a Philox stream keyed by (seed, block index), and the block
@@ -26,9 +26,11 @@ statistics accumulate in block order, so a seed fixes the report bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -52,8 +54,6 @@ __all__ = [
 
 TRIAL_BLOCK = 4096
 _SUBSET_LIMIT = 20
-# a single max-term carrying >=10% of the sample total marks a heavy tail
-_HEAVY_TAIL_SHARE = 0.10
 # paper_T_series stops here even when the tail bound is still above tol
 _SERIES_CAP = 10_000_000
 # elements per (k-block x n) array in paper_T_series
@@ -80,7 +80,11 @@ class GameParams:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Summary statistics of a Monte Carlo run (stderr = sqrt(variance/trials))."""
+    """Summary statistics of a Monte Carlo run (stderr = sqrt(variance/trials)).
+
+    heavy_tail is True when the sampled quantity has infinite variance, so
+    that variance and stderr are not estimates of anything finite.
+    """
 
     mode: str
     n: int
@@ -109,33 +113,14 @@ def win_prob_by(k: int, params: GameParams) -> float:
     return float(np.prod(1.0 - p ** float(k)))
 
 
-def _first_within(k_lo: int, k_hi: int, logs: np.ndarray, one_minus: np.ndarray,
-                  tol: float, rows: int) -> tuple[int, float]:
-    """First k >= k_lo whose union bound sum_i p_i^(k+1)/(1 - p_i) is <= tol,
-    or the cap, with that bound.
-
-    The bracket [k_lo, k_hi] is scanned first; past it only rounding in the
-    bracket's own logs could leave the first such k.
-    """
-    for lo, hi in ((k_lo, k_hi), (k_hi + 1, _SERIES_CAP)):
-        for k0 in range(lo, hi + 1, rows):
-            ks = np.arange(k0, min(k0 + rows, hi + 1), dtype=np.float64)
-            bounds = np.sum(np.exp((ks + 1.0)[:, None] * logs) / one_minus, axis=1)
-            hit = np.flatnonzero(bounds <= tol)
-            if hit.size:
-                return int(ks[hit[0]]), float(bounds[hit[0]])
-    return _SERIES_CAP, float(bounds[-1])
-
-
 def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
     """sum_{k>=1} (1 - prod_i (1 - p_i^k)) with a geometric tail certificate.
 
     The tail past K is at most B(K) = sum_i p_i^(K+1)/(1 - p_i) by the union
     bound, and K is the first k with B(k) <= tol, capped at 10,000,000 terms
-    (then tail_bound is B(cap) and exceeds tol).  B(k) lies between its
-    largest term and p_max^(k+1) sum_i 1/(1 - p_i), which bracket K in closed
-    form; B is evaluated in blocks of k inside that bracket only.  The terms
-    are summed over (k-block x n) arrays of about 2^16 elements.
+    (then tail_bound is B(cap) and exceeds tol).  B decreases in k, so K is
+    found by bisection on [1, cap], and tail_bound is B at the K returned.
+    The terms are summed over (k-block x n) arrays of about 2^16 elements.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -148,16 +133,11 @@ def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
     logs = np.log(p[live])
     one_minus = 1.0 - p[live]
     rows = max(1, _SERIES_BLOCK // logs.size)
-    # B(k) <= tol needs every term p_i^(k+1)/(1 - p_i) <= tol and holds once
-    # p_max^(k+1) sum_i 1/(1 - p_i) <= tol.  Two steps of slack at each end
-    # give B a margin of a factor p_max, larger than the rounding of these
-    # logs and of B until 1 - p_max nears 1e-13, far inside the cap.
-    log_tol = math.log(tol)
-    lower = np.max(np.ceil((log_tol + np.log(one_minus)) / logs)) - 3.0
-    upper = np.ceil((log_tol - math.log(np.sum(1.0 / one_minus))) / logs.max()) + 1.0
-    k_lo = int(np.clip(lower, 1, _SERIES_CAP))
-    k_hi = int(np.clip(upper, k_lo, _SERIES_CAP))
-    K, bound = _first_within(k_lo, k_hi, logs, one_minus, tol, rows)
+
+    def bound(k: int) -> float:
+        return float(np.sum(np.exp((k + 1.0) * logs) / one_minus))
+
+    K = 1 + bisect.bisect_left(range(1, _SERIES_CAP), True, key=lambda k: bound(k) <= tol)
     total = 0.0
     for k0 in range(1, K + 1, rows):
         ks = np.arange(k0, min(k0 + rows, K + 1), dtype=np.float64)
@@ -165,7 +145,7 @@ def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
         # tiny terms honest
         log_win = np.sum(np.log1p(-np.exp(ks[:, None] * logs)), axis=1)
         total -= float(np.sum(np.expm1(log_win)))
-    return SumResult(value=total, tail_bound=bound, terms_used=K, method="series")
+    return SumResult(value=total, tail_bound=bound(K), terms_used=K, method="series")
 
 
 def paper_T_inclusion_exclusion(params: GameParams) -> float:
@@ -198,29 +178,28 @@ def _block_rng(seed: int, index: int) -> Generator:
     return Generator(Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, index]))
 
 
-def _games_fixed(params: GameParams, m: int, rng: Generator) -> np.ndarray:
-    """m plays: T = max_i ceil(log U_i / log p_i), with G_i = 1 when p_i = 0
-    and T = 1 when there are no sets."""
-    p = np.asarray(params.p, dtype=np.float64)
-    u = 1.0 - rng.random((m, params.n))
+def _rounds(p: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """T = max_i ceil(log U_i / log p_i) for each row of u, with G_i = 1 where
+    p_i = 0 and T = 1 when there are no sets."""
     with np.errstate(divide="ignore"):
-        g = np.ceil(np.log(u) / np.log(p)[None, :])
-    g = np.where(p[None, :] == 0.0, 1.0, np.maximum(g, 1.0))
-    return g.max(axis=1, initial=1.0)
+        g = np.ceil(np.log(u) / np.log(p))
+    return np.where(p == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=1, initial=1.0)
+
+
+def _games_fixed(params: GameParams, m: int, rng: Generator) -> np.ndarray:
+    """m plays with the measures of params."""
+    return _rounds(np.asarray(params.p, dtype=np.float64), 1.0 - rng.random((m, params.n)))
 
 
 def _games_random_p(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> np.ndarray:
+    """m plays, each with n fresh measures from dist (draws of 1.0 redrawn)."""
     p = np.asarray(dist.ppf(rng.random((m, n))), dtype=np.float64)
     while True:
         bad = p >= 1.0
         if not np.any(bad):
             break
         p[bad] = dist.ppf(rng.random(int(np.count_nonzero(bad))))
-    u = 1.0 - rng.random((m, n))
-    with np.errstate(divide="ignore"):
-        g = np.ceil(np.log(u) / np.log(p))
-    g = np.where(p == 0.0, 1.0, np.maximum(g, 1.0))
-    return g.max(axis=1)
+    return _rounds(p, 1.0 - rng.random((m, n)))
 
 
 def _zeta_draws(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> np.ndarray:
@@ -229,22 +208,30 @@ def _zeta_draws(dist: EdgeDistribution, n: int, m: int, rng: Generator) -> np.nd
     return 1.0 / (1.0 - np.prod(x, axis=1))
 
 
-def _sim_blocks(draw: Callable[[int, Generator], np.ndarray], trials: int, seed: int):
-    """Run trials in fixed blocks, block b drawing ``draw(m, rng)`` from the
-    stream keyed by (seed, b); block sums accumulate in block order."""
-    total = 0.0
-    total_sq = 0.0
-    top = 0.0
+Draw = Callable[[int, Generator], np.ndarray]
+
+
+def _blocks(draw: Draw, trials: int, seed: int) -> Iterator[np.ndarray]:
+    """Each block's ``draw(m, rng)``, in order: trials in blocks of TRIAL_BLOCK,
+    block b drawing from the Philox stream keyed by (seed, b)."""
     for b0 in range(0, trials, TRIAL_BLOCK):
-        out = draw(min(TRIAL_BLOCK, trials - b0), _block_rng(seed, b0 // TRIAL_BLOCK))
+        yield draw(min(TRIAL_BLOCK, trials - b0), _block_rng(seed, b0 // TRIAL_BLOCK))
+
+
+def _simulate(mode: str, n: int, draw: Draw, trials: int, seed: int, target: float | None,
+              target_kind: str, heavy_tail: bool) -> SimulationReport:
+    """Mean and variance of ``trials`` draws; block sums accumulate in block order."""
+    total = total_sq = 0.0
+    for out in _blocks(draw, trials, seed):
         total += float(out.sum())
         total_sq += float((out * out).sum())
-        top = max(top, float(out.max()))
     mean = total / trials
     variance = max(total_sq - trials * mean * mean, 0.0) / max(trials - 1, 1)
-    stderr = math.sqrt(variance / trials)
-    heavy = trials >= 100 and top >= _HEAVY_TAIL_SHARE * total
-    return mean, variance, stderr, heavy
+    return SimulationReport(
+        mode=mode, n=n, trials=trials, seed=seed, mean=mean, variance=variance,
+        stderr=math.sqrt(variance / trials), target=target, target_kind=target_kind,
+        heavy_tail=heavy_tail,
+    )
 
 
 def run_trials(
@@ -257,47 +244,35 @@ def run_trials(
     """Aggregate many plays of the game, deterministically in seed.
 
     mode="fixed-p": ``source`` is a GameParams played every trial; the target
-    is the exact expected_rounds.  mode="random-p": each trial draws fresh
-    p_1..p_n from ``source`` (p = 1.0 draws are rejected and resampled); the
-    target is 1 - A(n; 1) over the distribution's moment sequence when that
-    sum converges, otherwise the report is flagged divergent.
+    is the exact expected_rounds, and T has every moment, so heavy_tail is
+    False.  mode="random-p": each trial draws fresh p_1..p_n from ``source``
+    (p = 1.0 draws are rejected and resampled); the target is 1 - A(n; 1)
+    over the distribution's moment sequence when that sum converges,
+    otherwise the report is flagged divergent.  E[T^2] = sum_k (2k+1)
+    (1 - (1 - m_k)^n) is finite exactly when alpha > 2, so heavy_tail is
+    alpha <= 2.  Targets are computed before any trial is played.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if mode == "fixed-p":
         if not isinstance(source, GameParams):
             raise TypeError("fixed-p mode needs GameParams")
-        params = source
-        mean, variance, stderr, heavy = _sim_blocks(
-            lambda m, rng: _games_fixed(params, m, rng), trials, seed
-        )
-        target = expected_rounds(params, tol=1e-10)
-        return SimulationReport(
-            mode="fixed-p", n=params.n, trials=trials, seed=seed, mean=mean,
-            variance=variance, stderr=stderr, target=target,
-            target_kind="expected-rounds", heavy_tail=heavy,
-        )
+        return _simulate("fixed-p", source.n, partial(_games_fixed, source), trials, seed,
+                         expected_rounds(source, tol=1e-10), "expected-rounds", False)
     if mode == "random-p":
         if not isinstance(source, EdgeDistribution):
             raise TypeError("random-p mode needs an EdgeDistribution")
         if n is None or n < 1:
             raise ValueError("random-p mode needs the number of sets n >= 1")
         n = int(n)
-        mean, variance, stderr, heavy = _sim_blocks(
-            lambda m, rng: _games_random_p(source, n, m, rng), trials, seed
-        )
         ms = moment_sequence(source)
-        if ms.tail is not None and ms.tail.alpha > 1.0:
+        try:
             target = 1.0 - binom_sums.alt_sum_stable(ms, n, kmin=1, tol=1e-4).value
             target_kind = "one-minus-alt-sum"
-        else:
-            target = None
-            target_kind = "divergent"
-        return SimulationReport(
-            mode="random-p", n=n, trials=trials, seed=seed, mean=mean,
-            variance=variance, stderr=stderr, target=target,
-            target_kind=target_kind, heavy_tail=heavy,
-        )
+        except Divergence:
+            target, target_kind = None, "divergent"
+        return _simulate("random-p", n, partial(_games_random_p, source, n), trials, seed,
+                         target, target_kind, ms.tail.alpha <= 2.0)
     raise ValueError(f"mode must be 'fixed-p' or 'random-p', got {mode!r}")
 
 
@@ -308,27 +283,21 @@ def zeta_expectation_mc(
 
     The mean estimates 1 + Z(n) = sum_{j>=0} m_j^n (the j = 0 term is the
     unit mass).  When Z(n) diverges the report carries target_kind
-    "divergent" instead of a comparison value.  Below n = 3 the uniform case
-    has infinite variance, so the stderr is indicative only; the heavy-tail
-    flag reports when a single draw dominates the sample.
+    "divergent" instead of a comparison value.  The second moment
+    sum_{j>=0} (j+1) m_j^n is finite exactly when alpha n > 2, so heavy_tail
+    is alpha n <= 2 (the uniform case below n = 3).  The target is computed
+    before any draw.
     """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"need integer n >= 1, got {n!r}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     n = int(n)
-    mean, variance, stderr, heavy = _sim_blocks(
-        lambda m, rng: _zeta_draws(dist, n, m, rng), trials, seed
-    )
     ms = moment_sequence(dist)
     try:
         target = 1.0 + _moment_zeta_sum(ms, float(n), tol=1e-10).value
         target_kind = "one-plus-moment-zeta"
     except Divergence:
-        target = None
-        target_kind = "divergent"
-    return SimulationReport(
-        mode="zeta-mc", n=n, trials=trials, seed=seed, mean=mean,
-        variance=variance, stderr=stderr, target=target,
-        target_kind=target_kind, heavy_tail=heavy,
-    )
+        target, target_kind = None, "divergent"
+    return _simulate("zeta-mc", n, partial(_zeta_draws, dist, n), trials, seed, target,
+                     target_kind, ms.tail.alpha * n <= 2.0)

@@ -237,6 +237,28 @@ def test_unread_flags_are_usage_errors(capsys, cmd, flag):
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--dist", "beta"), ("--beta", "1"), ("--c", "2"), ("--table", "d.csv"), ("--s", "2"),
+    ("--n-sets", "5"),
+])
+def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
+    # --p plays fixed measures; a random-p flag beside it would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "simulate", "--p", "0.5", "--trials", "10", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--k-max", "-5"), ("--k-max", "0"), ("--points", "0"), ("--points", "-1"),
+])
+def test_moments_rejects_sizes_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["moments", "--dist", "uniform", flag, value])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sum", "--dist", "riemann"])  # missing --n

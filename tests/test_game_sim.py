@@ -1,15 +1,17 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from momzeta.binom_sums import predict
 from momzeta.dist_core import BetaEdge, TabulatedDensity, Uniform
-from momzeta.errors import TooManySets
+from momzeta import game_sim
+from momzeta.errors import MissingEdgeData, TooManySets
 from momzeta.game_sim import (
-    TRIAL_BLOCK,
     GameParams,
     _block_rng,
+    _blocks,
     _games_fixed,
     expected_rounds,
     paper_T_inclusion_exclusion,
@@ -98,6 +100,19 @@ def test_oracles_agree_near_one(p_max, seed, tol):
     res = paper_T_series(params, tol=tol)
     assert abs(res.value - paper_T_inclusion_exclusion(params)) <= 1e-9
     assert res.terms_used == _first_k_within(params.p, tol)
+
+
+def _union_bound(p, k):
+    return math.fsum(v ** (k + 1) / (1.0 - v) for v in p if v > 0.0)
+
+
+@pytest.mark.parametrize("p_max, tol", [(0.9999, 1e-12), (0.99999, 1e-9)])
+def test_series_length_is_first_k_within_tol_near_one(p_max, tol):
+    # K is in the hundreds of thousands to millions here, past a per-k loop
+    p = [p_max, 0.5, 0.0, 0.99 * p_max]
+    res = paper_T_series(GameParams(p), tol=tol)
+    assert _union_bound(p, res.terms_used) <= tol < _union_bound(p, res.terms_used - 1)
+    assert res.tail_bound == pytest.approx(_union_bound(p, res.terms_used), rel=1e-9)
 
 
 def test_series_stops_at_cap():
@@ -189,6 +204,36 @@ def test_run_trials_random_p_uniform_flags_heavy_tail():
     assert rep.heavy_tail
 
 
+@pytest.mark.parametrize(
+    "run, heavy",
+    [
+        (partial(run_trials, "random-p", BetaEdge(beta=1.0), n=5), True),  # alpha = 2
+        (partial(run_trials, "random-p", BetaEdge(beta=2.0), n=5), False),  # alpha = 3
+        (partial(zeta_expectation_mc, Uniform(), 2), True),  # alpha n = 2
+        (partial(zeta_expectation_mc, Uniform(), 3), False),
+        (partial(run_trials, "fixed-p", GameParams([0.999])), False),
+    ],
+    ids=["random-p-beta1", "random-p-beta2", "zeta-mc-n2", "zeta-mc-n3", "fixed-p"],
+)
+def test_heavy_tail_means_infinite_variance(run, heavy):
+    # the flag comes from the tail exponent, not from the sample
+    assert run(trials=256, seed=3).heavy_tail is heavy
+
+
+@pytest.mark.parametrize("sampler, run", [
+    ("_games_random_p", partial(run_trials, "random-p", n=5)),
+    ("_zeta_draws", lambda dist, trials, seed: zeta_expectation_mc(dist, 3, trials, seed)),
+], ids=["random-p", "zeta-mc"])
+def test_missing_edge_data_raises_before_any_trial(monkeypatch, sampler, run):
+    def fail(*args):
+        raise AssertionError("a trial ran before the target was computed")
+
+    monkeypatch.setattr(game_sim, sampler, fail)
+    edgeless = TabulatedDensity(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+    with pytest.raises(MissingEdgeData):
+        run(edgeless, trials=10_000, seed=1)
+
+
 def test_run_trials_validation():
     with pytest.raises(TypeError):
         run_trials("fixed-p", Uniform(), trials=10, seed=1)
@@ -201,11 +246,7 @@ def test_run_trials_validation():
 def test_duration_cdf_matches_product_law():
     params = GameParams([0.5, 0.3])
     trials = 20_000
-    samples = []
-    for b0 in range(0, trials, TRIAL_BLOCK):
-        m = min(TRIAL_BLOCK, trials - b0)
-        samples.append(_games_fixed(params, m, _block_rng(5, b0 // TRIAL_BLOCK)))
-    t = np.concatenate(samples).astype(np.int64)
+    t = np.concatenate(list(_blocks(partial(_games_fixed, params), trials, 5))).astype(np.int64)
     ks = 0.0
     for k in range(1, int(t.max()) + 1):
         ks = max(ks, abs(float(np.mean(t <= k)) - win_prob_by(k, params)))
