@@ -297,6 +297,8 @@ def _cmd_game_exact(args, parser) -> int:
 
 def _cmd_game_simulate(args, parser) -> int:
     seed = _resolve_seed(args)
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
     if args.p is not None:
         random_p = ("dist", "beta", "c", "table", "s", "n_sets")
         given = [f"--{f.replace('_', '-')}" for f in random_p if getattr(args, f) is not None]
@@ -310,8 +312,8 @@ def _cmd_game_simulate(args, parser) -> int:
         source = _build_source(args, parser)
         if isinstance(source, PowerMoments):
             parser.error("game simulate needs a distribution, not an abstract sequence")
-        if args.n_sets is None:
-            parser.error("game simulate --dist ... needs --n-sets")
+        if args.n_sets is None or args.n_sets < 1:
+            parser.error("game simulate --dist ... needs --n-sets >= 1")
         report = game_sim.run_trials("random-p", source, trials=args.trials, seed=seed,
                                      n=args.n_sets)
         config = {"command": "game-simulate", "mode": "random-p",

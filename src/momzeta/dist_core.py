@@ -4,9 +4,12 @@ Three density families are supported:
 
 * ``Uniform`` -- f(x) = 1, moments m_k = 1/(k+1);
 * ``BetaEdge`` -- f(x) = c (1-x)^beta with c = beta+1 so the mass is 1,
-  moments m_k = c B(k+1, beta+1);
+  moments m_k = c B(k+1, beta+1); for integer beta this is the rational
+  m_k = prod_{i=1}^{beta+1} i/(k+i), otherwise it goes through log-gammas;
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
-  integrated exactly segment by segment.
+  integrated exactly segment by segment; once x^(k+1) underflows at every
+  node but the last, the sum is the last segment's A/(k+1) + B/(k+2)
+  (f = A + B x there, and x[-1] = 1).
 
 All distributions expose the edge behaviour f(x) ~ c (1-x)^beta near x = 1,
 which fixes the moment decay m_k ~ L k^(-alpha) with L = c Gamma(beta+1) and
@@ -47,6 +50,11 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-10
+# (beta+1)! = c Gamma(beta+1) is finite up to this beta, the range where
+# tail_model builds a sequence; BetaEdge uses its rational moments there
+_INT_BETA_MAX = 169
+# a power whose true value is below 2^-1100 rounds to 0 in any pow kernel
+_LOG_UNDERFLOW = -1100.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -168,11 +176,20 @@ class BetaEdge(EdgeDistribution):
         return 1.0 - (1.0 - u) ** (1.0 / (self.beta + 1.0))
 
     def moments(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=np.float64)
+        n = self.beta + 1.0
+        if n.is_integer() and n <= _INT_BETA_MAX + 1 and self.c == n:
+            # m_k = prod_{i=1}^{beta+1} i/(k+i), the factors taken in pairs:
+            # (k+i)(k+i+1) is exact below k ~ 9e7, so a pair costs one
+            # rounding, and every pair is <= 1, so the product cannot overflow.
+            m = 1.0
+            for i in range(1, int(n) + 1, 2):
+                m = m * (i * (i + 1.0) / ((k + i) * (k + i + 1.0)) if i < n else i / (k + i))
+            return m
         # m_k = c * B(k+1, beta+1), evaluated through log-gammas so large k
         # neither overflows nor loses the leading behaviour.
         from scipy.special import gammaln
 
-        k = np.asarray(k, dtype=np.float64)
         return self.c * np.exp(
             gammaln(self.beta + 1.0) + gammaln(k + 1.0) - gammaln(k + self.beta + 2.0)
         )
@@ -258,18 +275,28 @@ class TabulatedDensity(EdgeDistribution):
     def moments(self, k) -> np.ndarray:
         # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:
         # A (x1^(k+1) - x0^(k+1))/(k+1) + B (x1^(k+2) - x0^(k+2))/(k+2).
+        # Once x^(k+1) underflows to 0 at every node but the last, the other
+        # segments add only +-0, so the sum is the last segment's term alone
+        # (A/(k+1) + B/(k+2) when x[-1] = 1); rows over every segment are
+        # built only for the k before that point.
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
         x0, x1 = self.x[:-1], self.x[1:]
         f0, f1 = self.f[:-1], self.f[1:]
         B = (f1 - f0) / (x1 - x0)
         A = f0 - B * x0
-        out = np.empty(k.shape, dtype=np.float64)
+        out = (A[-1] * np.power(x1[-1], k + 1.0) / (k + 1.0)
+               + B[-1] * np.power(x1[-1], k + 2.0) / (k + 2.0))
+        with np.errstate(divide="ignore"):
+            near = (k + 1.0) * np.log(np.max(np.abs(x0))) > _LOG_UNDERFLOW
+        kn = k[near]
+        rows = np.empty(kn.shape, dtype=np.float64)
         chunk = max(1, (1 << 20) // self.x.size)
-        for lo in range(0, k.size, chunk):
-            kk = k[lo : lo + chunk, None]
+        for lo in range(0, kn.size, chunk):
+            kk = kn[lo : lo + chunk, None]
             p1 = np.power(x1[None, :], kk + 1.0) - np.power(x0[None, :], kk + 1.0)
             p2 = np.power(x1[None, :], kk + 2.0) - np.power(x0[None, :], kk + 2.0)
-            out[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
+            rows[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
+        out[near] = rows
         return out
 
     def edge_params(self) -> tuple[float, float]:

@@ -179,11 +179,13 @@ def _block_rng(seed: int, index: int) -> Generator:
 
 
 def _rounds(p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """T = max_i ceil(log U_i / log p_i) for each row of u, with G_i = 1 where
-    p_i = 0 and T = 1 when there are no sets."""
+    """T = max(1, max_i ceil(log U_i / log p_i)) for each row of u, U_i in (0, 1].
+
+    ceil is monotone, so the max is taken first.  A set with p_i = 0 gives
+    log U_i / -inf = +-0, which the initial 1 absorbs, as it does no sets.
+    """
     with np.errstate(divide="ignore"):
-        g = np.ceil(np.log(u) / np.log(p))
-    return np.where(p == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=1, initial=1.0)
+        return np.ceil((np.log(u) / np.log(p)).max(axis=1, initial=1.0))
 
 
 def _games_fixed(params: GameParams, m: int, rng: Generator) -> np.ndarray:

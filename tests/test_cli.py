@@ -259,6 +259,20 @@ def test_moments_rejects_sizes_below_one(capsys, flag, value):
     assert "must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--p", "0.5", "--trials", "0"],
+    ["--p", "0.5", "--trials", "-3"],
+    ["--dist", "uniform", "--n-sets", "5", "--trials", "0"],
+    ["--dist", "uniform", "--n-sets", "0"],
+    ["--dist", "beta", "--beta", "1", "--n-sets", "-2"],
+], ids=["trials0", "trials-neg", "random-p-trials0", "n-sets0", "n-sets-neg"])
+def test_game_simulate_rejects_sizes_below_one(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["game", "simulate", *argv])
+    assert exc.value.code == 2
+    assert ">= 1" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sum", "--dist", "riemann"])  # missing --n
@@ -345,10 +359,13 @@ print(json.dumps([code, sorted(m for m in ("scipy", "mpmath") if m in sys.module
         (["game", "exact", "--p", "0.5,0.9,0.99"], []),
         (["game", "simulate", "--p", "0.5,0.9", "--trials", "4096", "--seed", "1"], []),
         (["dn", "--n", "10,100"], []),
-        (["verify", "--criteria", "5", "--seed", "1"], ["scipy"]),
-        (["sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-3"], ["scipy"]),
+        (["verify", "--criteria", "5", "--seed", "1"], []),
+        (["sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-3"], []),
+        (["sum", "--dist", "beta", "--beta", "2.5", "--n", "100", "--tol", "1e-3"], ["scipy"]),
+        (["verify", "--criteria", "10", "--seed", "1"], ["scipy"]),
     ],
-    ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify", "sum-beta"],
+    ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify", "sum-beta",
+         "sum-beta-non-integer", "verify-quadrature"],
 )
 def test_heavy_imports_load_on_demand(argv, loaded):
     src = os.path.dirname(os.path.dirname(momzeta.__file__))

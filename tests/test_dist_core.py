@@ -46,6 +46,81 @@ def test_beta_edge_moment_asymptotics():
     assert k**2 * dist.moments([k])[0] == pytest.approx(2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("beta", [0, 1, 2, 5])
+def test_integer_beta_moments_within_four_ulp(beta):
+    # the rational form prod i/(k+i) against (beta+1) B(k+1, beta+1) at 40 digits
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(beta)
+    ks = np.unique(np.concatenate([
+        np.arange(1, 200), np.round(np.geomspace(200, 1.6e7, 400)),
+        rng.integers(1, 16_000_001, 400), [16_000_000],
+    ])).astype(np.int64)
+    got = BetaEdge(beta=float(beta)).moments(ks)
+    with mpmath.workdps(40):
+        ref = np.array([float((beta + 1) * mpmath.beta(int(k) + 1, beta + 1)) for k in ks])
+    assert np.all(np.abs(got - ref) <= 4.0 * np.spacing(ref))
+
+
+def test_non_integer_beta_keeps_log_gamma_form():
+    from scipy.special import gammaln
+
+    beta = 2.5
+    k = np.array([1, 2, 10, 1000, 123_457, 16_000_000], dtype=np.float64)
+    expected = (beta + 1.0) * np.exp(
+        gammaln(beta + 1.0) + gammaln(k + 1.0) - gammaln(k + beta + 2.0)
+    )
+    assert BetaEdge(beta=beta).moments(k).tobytes() == expected.tobytes()
+
+
+def _full_row_sum(dist, k):
+    # every segment's exact integral summed for every k, in 2^20-element chunks
+    x0, x1 = dist.x[:-1], dist.x[1:]
+    f0, f1 = dist.f[:-1], dist.f[1:]
+    B = (f1 - f0) / (x1 - x0)
+    A = f0 - B * x0
+    out = np.empty(k.shape)
+    chunk = max(1, (1 << 20) // dist.x.size)
+    for lo in range(0, k.size, chunk):
+        kk = k[lo : lo + chunk, None]
+        p1 = np.power(x1[None, :], kk + 1.0) - np.power(x0[None, :], kk + 1.0)
+        p2 = np.power(x1[None, :], kk + 2.0) - np.power(x0[None, :], kk + 2.0)
+        out[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
+    return out
+
+
+def _random_table(nodes, seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.sort(rng.random(nodes - 2)), [1.0]])
+    return TabulatedDensity(x, rng.random(nodes) + 0.01, normalize=True)
+
+
+def _tab21():
+    x = np.linspace(0.0, 1.0, 21)
+    f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
+    f = f / np.trapezoid(f, x)
+    f[-1] = 0.0
+    return TabulatedDensity(x, f)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TabulatedDensity([0.0, 1.0], [1.5, 0.5]),
+    _tab21,
+    lambda: TabulatedDensity([0.0, 0.5, 0.999, 1.0], [1.0, 2.0, 1.0, 0.5], normalize=True),
+    lambda: _random_table(3, 1),
+    lambda: _random_table(5, 2),
+    lambda: _random_table(50, 3),
+], ids=["tab2", "tab21", "x999", "random3", "random5", "random50"])
+def test_tabulated_moments_match_full_row_sum(make):
+    dist = make()
+    # x[-2]^(k+1) underflows near k_u; also cross a 2^20 chunk edge
+    k_u = 1075.0 * np.log(2.0) / -np.log(dist.x[-2]) if dist.x.size > 2 else 1.0
+    k = np.unique(np.concatenate([
+        np.arange(1, 20_000), np.arange(0.97 * k_u, 1.05 * k_u).round(),
+        np.arange((1 << 20) - 2048, (1 << 20) + 2048), np.geomspace(20_000, 1.6e7, 2000).round(),
+    ]))
+    assert dist.moments(k).tobytes() == _full_row_sum(dist, k).tobytes()
+
+
 def test_moment_rejects_bad_order():
     with pytest.raises(ValueError):
         moment_quadrature(Uniform(), 0)

@@ -147,6 +147,21 @@ def test_game_params_validation():
 # simulation
 # ---------------------------------------------------------------------------
 
+def test_rounds_takes_the_max_before_the_ceiling():
+    # against the per-set form: ceil each G_i, G_i = 1 where p_i = 0, then the max
+    rng = np.random.default_rng(5)
+    p = rng.random((4096, 6)) ** 0.2
+    p[:, [1, 4]] = 0.0
+    u = 1.0 - rng.random((4096, 6))
+    u[::7] = 1.0
+    for n in (6, 2, 1, 0):
+        pp, uu = p[:, :n], u[:, :n]
+        with np.errstate(divide="ignore"):
+            g = np.ceil(np.log(uu) / np.log(pp))
+        old = np.where(pp == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=1, initial=1.0)
+        assert game_sim._rounds(pp, uu).tobytes() == old.tobytes()
+
+
 def test_games_fixed_all_zero_measures():
     assert np.all(_games_fixed(GameParams([0.0, 0.0, 0.0]), 20, _block_rng(3, 0)) == 1.0)
 
