@@ -123,18 +123,11 @@ def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
 
     kmin=1 needs alpha > 1 (else Z(1) already diverges); kmin=2 needs
     alpha > 1/2.  The kmin=1 value is <= 0 and the kmin=2 value is >= 0,
-    term by term.  For exact power-law sequences (method "power-law-tail")
-    the head is max(1024, ceil((8 n max(L, 1))^(1/alpha))) moments, at most
-    2^22, and corrections of order kmin, kmin+1, ... close the tail until
-    the envelope of the next order is below tol/20, or past order 60.
-    Other sequences (method "bonferroni-tail") sum the head at which the
-    first-order cut meets tol, at least 1024 and at most 16M moments.  The
-    reported tail_bound exceeds tol when a cap stops the head or tol is
-    below the rounding of the sum; it bounds the error either way.
-
-    ``terms`` fixes the head J (the moments j <= J summed directly) on both
-    paths, in place of the size chosen from n, tol and the caps; the
-    power-law path still closes the tail j > J with its corrections.
+    term by term.  ``moment_zeta.certified_sum`` sizes the head (at most
+    2^22 moments; ``terms`` fixes it) and closes the tail through the
+    sequence's power-law form (method "power-law-tail").  The reported
+    tail_bound exceeds tol when the cap stops the head or tol is below the
+    rounding of the sum; it bounds the error either way.
     """
     if kmin not in (1, 2):
         raise ValueError(f"kmin must be 1 or 2, got {kmin}")
@@ -157,25 +150,25 @@ def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
                          lambda k: (-1) ** k * math.comb(n, k), range(kmin, n + 1), tol, terms, n)
 
 
+def _mpmath():
+    import mpmath  # on a source's first call, not when it is built
+
+    return mpmath
+
+
 def riemann_zeta_source() -> Callable[[int], object]:
     """Z(k) = zeta(k); evaluate inside the oracle's precision context."""
-    import mpmath
-
-    return lambda k: mpmath.zeta(k)
+    return lambda k: _mpmath().zeta(k)
 
 
 def scaled_riemann_zeta_source(s: float) -> Callable[[int], object]:
     """Z(k) = zeta(s k) for the scaled sequence m_j = j^(-s)."""
-    import mpmath
-
-    return lambda k: mpmath.zeta(mpmath.mpf(s) * k)
+    return lambda k: _mpmath().zeta(_mpmath().mpf(s) * k)
 
 
 def uniform_zeta_source() -> Callable[[int], object]:
     """Z(k) = zeta(k) - 1 for the uniform-distribution moments m_j = 1/(j+1)."""
-    import mpmath
-
-    return lambda k: mpmath.zeta(k) - 1
+    return lambda k: _mpmath().zeta(k) - 1
 
 
 def alt_sum_naive(n: int, kmin: int, zeta_source: Callable[[int], object],

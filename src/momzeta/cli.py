@@ -12,9 +12,9 @@ Subcommands
     verify    run the acceptance checks and emit a pass/fail report
 
 Reports are JSON ({"schema": 1, "config": ..., "results": ...}) or CSV with
-fixed headers.  Numbers are serialized with 17 significant digits, so a given
-config and seed produce byte-identical output; the seed falls back to the
-MOMZETA_SEED environment variable, then to 42.  Exit codes: 0 success,
+fixed headers.  Numbers carry 17 significant digits, so a given config and
+seed produce byte-identical output on one machine and numpy build; the seed
+falls back to the MOMZETA_SEED environment variable, then to 42.  Exit codes: 0 success,
 1 numeric failure (divergence, precision, quadrature), 2 usage error.
 """
 

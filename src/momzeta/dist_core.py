@@ -13,10 +13,11 @@ Three density families are supported:
 
 All distributions expose the edge behaviour f(x) ~ c (1-x)^beta near x = 1,
 which fixes the moment decay m_k ~ L k^(-alpha) with L = c Gamma(beta+1) and
-alpha = beta + 1.  That decay law is packaged as a ``TailModel`` and drives
-every truncation bound downstream.  Moment sequences (from a distribution or
-the abstract power family m_j = j^(-s)) are the universal input of the
-summation engines.
+alpha = beta + 1 (a ``TailModel``).  Every built-in sequence also carries a
+``PowerLawForm`` L (j+shift)^(-alpha) with a proven gap on its log-ratio to
+m_j, which closes every truncated sum downstream.  Moment sequences (from a
+distribution or the abstract power family m_j = j^(-s)) are the universal
+input of the summation engines.
 
 Objects are immutable after construction; sampling is ``ppf`` applied to
 the caller's uniforms, so determinism is entirely in the caller's hands.
@@ -73,15 +74,30 @@ class TailModel:
 
 @dataclass(frozen=True)
 class PowerLawForm:
-    """Exact closed form m_j = L (j + shift)^(-alpha), valid for every j >= 1.
+    """m_j = L (j + shift)^(-alpha) e^(eps_j), with |eps_j| <= gap(J) for all j > J.
 
-    Sequences carrying this form admit high-order tail corrections; sequences
-    with only an asymptotic TailModel get first-order truncation bounds.
+    gap is non-increasing in J, 0 for an exact power law, and inf where the
+    form bounds nothing (shift or the other table segments still too large).
     """
 
     L: float
     alpha: float
     shift: float = 0.0
+    gap: Callable[[float], float] = field(default=lambda J: 0.0, compare=False, repr=False)
+
+
+def _beta_gap(beta: float) -> Callable[[float], float]:
+    """gap of m_j = Gamma(beta+2) Gamma(j+1)/Gamma(j+beta+2) to Gamma(beta+2) (j+b)^-(beta+1).
+
+    With a = beta/2, b = a+1, w = j+b, kappa = alpha (alpha^2-1)/24, the step
+    eps_{j+1} - eps_j = log1p(-a/w) - log1p(b/w) + alpha log1p(1/w) is
+    -2 kappa/w^3 + r, |r| <= (a^4+b^4+alpha)/(4(1-b/w)) w^-4 (log1p Taylor
+    remainders); as eps_j -> 0, summing the steps bounds |eps_j|, j > J.
+    """
+    alpha, a, b = beta + 1.0, beta / 2.0, beta / 2.0 + 1.0
+    kappa = alpha * (alpha * alpha - 1.0) / 24.0
+    c4 = (a**4 + b**4 + alpha) / 4.0
+    return lambda J: kappa / (J + b) ** 2 + c4 / (3.0 * (1.0 - b / (J + 1.0 + b)) * (J + b) ** 3)
 
 
 class EdgeDistribution:
@@ -197,13 +213,19 @@ class BetaEdge(EdgeDistribution):
     def edge_params(self) -> tuple[float, float]:
         return (self.c, self.beta)
 
+    def power_law_form(self) -> PowerLawForm:
+        tm = tail_model(self)  # L = c Gamma(beta+1) = Gamma(beta+2)
+        return PowerLawForm(L=tm.L, alpha=tm.alpha, shift=self.beta / 2.0 + 1.0,
+                            gap=_beta_gap(self.beta))
+
 
 class TabulatedDensity(EdgeDistribution):
     """Piecewise-linear density from (x, f) pairs on a strictly increasing grid.
 
-    The grid must cover [0, 1] and the trapezoid mass must equal 1 within
-    1e-10 (pass normalize=True to rescale instead).  Edge behaviour cannot be
-    inferred from a table; supply edge=(c, beta) to unlock the tail model.
+    The grid must cover [0, 1] (its ends are then set to 0 and 1) and the
+    trapezoid mass must equal 1 within 1e-10 (pass normalize=True to rescale
+    instead).  edge=(c, beta) unlocks the tail model; it must be the last
+    segment's, (f[-1], 0) or, when f[-1] = 0, (f[-2]/(1 - x[-2]), 1).
     """
 
     family = "tabulated"
@@ -215,7 +237,7 @@ class TabulatedDensity(EdgeDistribution):
         edge: tuple[float, float] | None = None,
         normalize: bool = False,
     ) -> None:
-        x = np.asarray(x, dtype=np.float64)
+        x = np.array(x, dtype=np.float64)
         f = np.asarray(f, dtype=np.float64)
         if x.ndim != 1 or x.shape != f.shape or x.size < 2:
             raise ValueError("need matching 1-D arrays with at least two nodes")
@@ -223,6 +245,7 @@ class TabulatedDensity(EdgeDistribution):
             raise ValueError("grid x must be strictly increasing")
         if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
             raise ValueError("grid must cover [0, 1]")
+        x[0], x[-1] = 0.0, 1.0
         if np.any(f < 0.0):
             raise ValueError("density values must be nonnegative")
         mass = float(np.trapezoid(f, x))
@@ -284,8 +307,7 @@ class TabulatedDensity(EdgeDistribution):
         f0, f1 = self.f[:-1], self.f[1:]
         B = (f1 - f0) / (x1 - x0)
         A = f0 - B * x0
-        out = (A[-1] * np.power(x1[-1], k + 1.0) / (k + 1.0)
-               + B[-1] * np.power(x1[-1], k + 2.0) / (k + 2.0))
+        out = A[-1] / (k + 1.0) + B[-1] / (k + 2.0)
         with np.errstate(divide="ignore"):
             near = (k + 1.0) * np.log(np.max(np.abs(x0))) > _LOG_UNDERFLOW
         kn = k[near]
@@ -306,6 +328,42 @@ class TabulatedDensity(EdgeDistribution):
             )
         return self._edge
 
+    def power_law_form(self) -> PowerLawForm:
+        """The last segment f = A + B x as the pole part; the other segments go in the gap.
+
+        f[-1] > 0: A/(j+1) + B/(j+2) = L/(j+shift) (1 + (AB/L^2)/((j+1)(j+2))),
+        L = f[-1], shift = 1 + B/L.  f[-1] = 0: BetaEdge(1) scaled by L/2.  The
+        rest adds at most S x[-2]^(j+1)/(j+1) to m_j, S = sum_i |A_i| + |B_i|,
+        which relative to the form peaks at j* = alpha/(-log x[-2]) - shift.
+        """
+        c, beta = self.edge_params()
+        x2, f2, f1 = float(self.x[-2]), float(self.f[-2]), float(self.f[-1])
+        B = (f1 - f2) / (1.0 - x2)
+        if f1 > 0.0:
+            L, alpha, shift, q0 = f1, 1.0, 1.0 + B / f1, abs((f2 - B * x2) * B) / (f1 * f1)
+
+            def pole_gap(J: float) -> float:
+                q = q0 / ((J + 2.0) * (J + 3.0))
+                return q / (1.0 - q) if q < 1.0 and J + shift >= 0.0 else math.inf
+        else:
+            L, alpha, shift, pole_gap = f2 / (1.0 - x2), 2.0, 1.5, _beta_gap(1.0)
+        if beta != alpha - 1.0 or not math.isclose(c, L, rel_tol=1e-9):
+            raise InvalidTail(f"edge data (c, beta) = ({c:.6g}, {beta:.6g}) differs from the "
+                              f"last segment's ({L:.6g}, {alpha - 1.0:g})")
+        if x2 == 0.0:
+            return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=pole_gap)
+        slopes = np.diff(self.f) / np.diff(self.x)
+        S = float(np.sum(np.abs(self.f[:-1] - slopes * self.x[:-1]) + np.abs(slopes)))
+        log_x2 = math.log(x2)
+
+        def gap(J: float) -> float:
+            g, j = pole_gap(J), max(J + 1.0, alpha / -log_x2 - shift)
+            log_rho = math.log(S / L) + g + (j + 1.0) * log_x2 + alpha * math.log(j + shift)
+            rho = math.exp(min(log_rho, 700.0)) / (J + 2.0)
+            return g + rho / (1.0 - rho) if rho < 1.0 else math.inf
+
+        return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=gap)
+
 
 @dataclass(frozen=True)
 class PowerMoments:
@@ -324,10 +382,10 @@ class PowerMoments:
 class MomentSequence:
     """A decreasing sequence m_j in (0, 1] with a tail model.
 
-    ``evaluator`` maps an integer array j >= 1 to m_j.  ``tail`` may be None
-    for raw user sequences, in which case any operation that must bound a
-    truncation error raises TailUnavailable.  ``power_law`` marks sequences
-    whose closed form is exactly L (j+shift)^(-alpha).
+    ``evaluator`` maps an integer array j >= 1 to m_j.  The summation
+    engines close truncated sums through ``power_law`` and raise
+    TailUnavailable without it (or without ``tail``, as for raw user
+    sequences).
     """
 
     def __init__(
@@ -408,18 +466,6 @@ def _spot_check(seq: MomentSequence, provenance: str) -> None:
         raise InvalidTail(f"{provenance} moments must lie in (0, 1]")
     if np.any(np.diff(m) > 1e-15):
         raise InvalidTail(f"{provenance} moments are not monotonically decreasing")
-    if seq.tail is not None:
-        # the scaled sequence j^alpha m_j must be within a factor 2 of L once j
-        # is large; compared in logs, since j^alpha overflows for alpha >= 78
-        j = 10_000
-        with np.errstate(divide="ignore"):
-            log_m = float(np.log(seq.moments(np.array([j]))[0]))
-        log_ratio = log_m + seq.tail.alpha * math.log(j) - math.log(seq.tail.L)
-        if not (abs(log_ratio) <= math.log(2.0)):
-            raise InvalidTail(
-                f"log(j^alpha m_j / L) = {log_ratio:.6g} at j={j} is inconsistent with tail "
-                f"constant L = {seq.tail.L:.6g}"
-            )
 
 
 def moment_sequence(source: EdgeDistribution | PowerMoments) -> MomentSequence:
@@ -429,21 +475,11 @@ def moment_sequence(source: EdgeDistribution | PowerMoments) -> MomentSequence:
     (L=1, alpha=s); PowerMoments(1.0) is the Riemann sequence.
     """
     if isinstance(source, PowerMoments):
-        s = source.s
-        seq = MomentSequence(
-            evaluator=source.moments,
-            tail=TailModel(L=1.0, alpha=s),
-            provenance="abstract",
-            power_law=PowerLawForm(L=1.0, alpha=s, shift=0.0),
-        )
-        return seq
+        return MomentSequence(source.moments, TailModel(L=1.0, alpha=source.s), "abstract",
+                              PowerLawForm(L=1.0, alpha=source.s, shift=0.0))
     if isinstance(source, EdgeDistribution):
-        seq = MomentSequence(
-            evaluator=source.moments,
-            tail=tail_model(source),
-            provenance="from-distribution",
-            power_law=source.power_law_form(),
-        )
+        seq = MomentSequence(source.moments, tail_model(source), "from-distribution",
+                             source.power_law_form())
         _spot_check(seq, source.family)
         return seq
     raise TypeError(f"cannot build a moment sequence from {type(source).__name__}")

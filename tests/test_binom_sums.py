@@ -102,26 +102,87 @@ def test_oracle_equivalence_uniform_distribution():
     assert abs(stable - naive) <= 1e-8
 
 
+def _tab21():
+    x = np.linspace(0.0, 1.0, 21)
+    f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
+    f = f / np.trapezoid(f, x)
+    f[-1] = 0.0
+    return TabulatedDensity(x, f, edge=(f[-2] / (x[-1] - x[-2]), 1.0))
+
+
+def _random_table():
+    # five nodes, x[-2] <= 0.9, f[-1] > 0: an alpha = 1 edge
+    rng = np.random.default_rng(18)
+    x = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.9, 3)), [1.0]])
+    d = TabulatedDensity(x, rng.uniform(0.2, 2.0, 5), normalize=True)
+    return TabulatedDensity(d.x, d.f, edge=(d.f[-1], 0.0))
+
+
+TAB21, TABLE5 = _tab21(), _random_table()
+
+
+def _nsum_source(moment):
+    return lambda k: mpmath.nsum(lambda j: moment(j) ** k, [1, mpmath.inf])
+
+
+def _beta25_source(k):
+    # Z(1) = E[X/(1-X)] = 1/beta: nsum's extrapolation of the j^-3.5 decay is
+    # off by 4e-10 there; from k = 2 on it agrees with Euler-Maclaurin to 1e-32
+    if k == 1:
+        return mpmath.mpf(1) / 2.5
+    return mpmath.nsum(lambda j: (3.5 * mpmath.beta(j + 1, 3.5)) ** k, [1, mpmath.inf])
+
+
+def _table_zeta_source(dist, j0=600):
+    """Z(k) of a table: its exact moments up to j0, then the last segment's
+    pole part A/(j+1) + B/(j+2), which they match within x[-2]^j0 past it.
+    The pole part goes through Euler-Maclaurin: nsum's default extrapolation
+    misses A/1002 for A/(j+1) - A/(j+2) past j = 1000 by 87%."""
+    head = {}
+
+    def segments():
+        for x0, x1, f0, f1 in zip(dist.x, dist.x[1:], dist.f, dist.f[1:]):
+            B = (mpmath.mpf(f1) - f0) / (mpmath.mpf(x1) - x0)
+            yield mpmath.mpf(x0), mpmath.mpf(x1), f0 - B * x0, B
+
+    def z(k):
+        if mpmath.mp.prec not in head:  # the moments, once per working precision
+            segs = list(segments())
+            head[mpmath.mp.prec] = [
+                mpmath.fsum(A * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1)
+                            + B * (x1 ** (j + 2) - x0 ** (j + 2)) / (j + 2)
+                            for x0, x1, A, B in segs)
+                for j in range(1, j0 + 1)]
+        _, _, A, B = list(segments())[-1]
+        return mpmath.fsum(m**k for m in head[mpmath.mp.prec]) + mpmath.nsum(
+            lambda j: (A / (j + 1) + B / (j + 2)) ** k, [j0 + 1, mpmath.inf], method="e")
+
+    return z
+
+
 @pytest.mark.parametrize(
-    "dist, kmin, moment",
+    "dist, kmin, zeta_source",
     [
-        (BetaEdge(beta=1.0), 1, lambda j: 2 / ((j + 1) * (j + 2))),
-        (BetaEdge(beta=2.0), 1, lambda j: 6 / ((j + 1) * (j + 2) * (j + 3))),
+        (BetaEdge(beta=1.0), 1, _nsum_source(lambda j: 2 / ((j + 1) * (j + 2)))),
+        (BetaEdge(beta=2.0), 1, _nsum_source(lambda j: 6 / ((j + 1) * (j + 2) * (j + 3)))),
         # f = 3/2 - x has edge value c = 1/2 at x = 1
         (TabulatedDensity([0.0, 1.0], [1.5, 0.5], edge=(0.5, 0.0)), 2,
-         lambda j: 3 / (2 * (j + 1)) - 1 / (j + 2)),
+         _nsum_source(lambda j: 3 / (2 * (j + 1)) - 1 / (j + 2))),
+        (BetaEdge(beta=2.5), 1, _beta25_source),
+        (BetaEdge(beta=7.0), 1, _nsum_source(lambda j: 8 * mpmath.beta(j + 1, 8))),
+        (TAB21, 1, _table_zeta_source(TAB21)),
+        (TABLE5, 2, _table_zeta_source(TABLE5)),
     ],
-    ids=["beta1", "beta2", "table-3/2-x"],
+    ids=["beta1", "beta2", "table-3/2-x", "beta2.5", "beta7", "tab21", "table-5-nodes"],
 )
 @pytest.mark.parametrize("n", [5, 17, 40])
-def test_oracle_equivalence_generic_path(dist, kmin, moment, n):
-    # no power-law form, so the first-order cut closes the sum; at tol 1e-4
-    # the error is most of the bound, which makes the bound the thing tested
+def test_oracle_equivalence_generic_path(dist, kmin, zeta_source, n):
+    # densities close their tail through a shifted power law and its proven
+    # gap; the naive oracle sums the exact moments instead
     res = alt_sum_stable(moment_sequence(dist), n, kmin=kmin, tol=1e-4)
-    naive = alt_sum_naive(n, kmin, lambda k: mpmath.nsum(lambda j: moment(j) ** k, [1, mpmath.inf]))
-    assert abs(res.value - naive) <= res.tail_bound
-    # J is sized from the constant the bound uses, so the bound meets tol
-    assert res.tail_bound <= 1e-4
+    naive = alt_sum_naive(n, kmin, zeta_source)
+    assert res.method == "power-law-tail"
+    assert abs(res.value - naive) <= res.tail_bound <= 1e-4
 
 
 def test_sign_coherence():
@@ -145,10 +206,17 @@ def test_bonferroni_term_bounds():
 
 
 def test_stable_refinement_within_previous_bound():
+    # each cut is within its own bound of the exact sum.  The finer head may
+    # stop the sweep one order earlier (J = 20000 errs by 4.2e-12 within
+    # 1.3e-11, J = 40000 by -4.14e-10 within 4.16e-10), so the fine value
+    # need not lie inside the coarse bound
     ms = moment_sequence(BetaEdge(beta=1.0))
-    coarse = alt_sum_stable(ms, 200, kmin=1, terms=20_000)
-    fine = alt_sum_stable(ms, 200, kmin=1, terms=40_000)
-    assert abs(fine.value - coarse.value) <= coarse.tail_bound
+    with mpmath.workdps(30):
+        exact = mpmath.nsum(lambda j: (1 - 2 / ((j + 1) * (j + 2))) ** 200 - 1, [1, mpmath.inf])
+        for terms in (20_000, 40_000):
+            res = alt_sum_stable(ms, 200, kmin=1, terms=terms)
+            assert res.terms_used == terms
+            assert abs(res.value - exact) <= res.tail_bound
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -309,6 +312,80 @@ def test_inconsistent_edge_data_raises_invalid_tail():
     wrong = TabulatedDensity([0.0, 1.0], [1.5, 0.5], edge=(2.0, 1.0))
     with pytest.raises(InvalidTail):
         moment_sequence(wrong)
+
+
+# ---------------------------------------------------------------------------
+# power-law forms: the proven gap against extended-precision moments
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 1, 1.5, 2, 2.5, 3, 7.3, 20, 50.5, 169])
+def test_beta_gap_bounds_log_gamma_moments(beta):
+    # eps_j = log(m_j / (Gamma(beta+2) (j+b)^-(beta+1))) with
+    # m_j = Gamma(beta+2) Gamma(j+1)/Gamma(j+beta+2)
+    form = moment_sequence(BetaEdge(beta=beta)).power_law
+    assert (form.alpha, form.shift) == (beta + 1.0, beta / 2.0 + 1.0)
+    with mpmath.workdps(80):
+        b = mpmath.mpf(beta)
+        for j in (1024, 10**5, 10**9):
+            eps = (mpmath.loggamma(j + 1) - mpmath.loggamma(j + b + 2)
+                   + (b + 1) * mpmath.log(j + b / 2 + 1))
+            gap = form.gap(j - 1)
+            # a bound, and a sharp one: kappa/(J+b)^2 is the leading term of eps
+            assert 0.9 * gap <= abs(eps) <= gap
+
+
+def _table_moment(dist, j):
+    """The exact moment of the piecewise-linear table at the working precision."""
+    x = [mpmath.mpf(float(v)) for v in dist.x]
+    f = [mpmath.mpf(float(v)) for v in dist.f]
+    total = mpmath.mpf(0)
+    for x0, x1, f0, f1 in zip(x, x[1:], f, f[1:]):
+        B = (f1 - f0) / (x1 - x0)
+        A = f0 - B * x0
+        total += A * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1)
+        total += B * (x1 ** (j + 2) - x0 ** (j + 2)) / (j + 2)
+    return total
+
+
+def _tab21_with_edge():
+    d = _tab21()
+    return TabulatedDensity(d.x, d.f, edge=(d.f[-2] / (1.0 - d.x[-2]), 1.0))
+
+
+def _near_one_table():
+    d = TabulatedDensity([0.0, 0.5, 0.999, 1.0], [1.0, 2.0, 1.0, 0.5], normalize=True)
+    return TabulatedDensity(d.x, d.f, edge=(d.f[-1], 0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TabulatedDensity([0.0, 1.0], [1.5, 0.5], edge=(0.5, 0.0)),
+    _tab21_with_edge,
+    _near_one_table,
+], ids=["tab2", "tab21", "x2-0.999"])
+def test_table_gap_bounds_exact_moments(make):
+    dist = make()
+    form = moment_sequence(dist).power_law
+    grid = [1024, 3000, 10**4, 3 * 10**4, 10**5]
+    gaps = [form.gap(J) for J in grid]
+    assert gaps == sorted(gaps, reverse=True)
+    with mpmath.workdps(40):
+        for J, gap in zip(grid, gaps):
+            for j in (J + 1, 2 * J, 10 * J):
+                m = _table_moment(dist, j)
+                eps = mpmath.log(m / form.L) + form.alpha * mpmath.log(j + form.shift)
+                assert abs(eps) <= gap
+    assert gaps[-1] < 1e-3
+    # with x[-2] = 0.999 the other segments still outweigh the form at J = 1024
+    assert (gaps[0] == math.inf) == (dist.x[-2] > 0.99)
+
+
+def test_table_edge_must_be_last_segment():
+    # f[-1] = 0: the last segment is c (1-x) with c = f[-2]/(1-x[-2]) = 3
+    x, f = [0.0, 0.5, 1.0], [1.0, 1.5, 0.0]
+    assert moment_sequence(TabulatedDensity(x, f, edge=(3.0, 1.0))).power_law.alpha == 2.0
+    for edge in [(1.0, 1.0), (3.0, 0.0), (3.0, 2.0)]:
+        with pytest.raises(InvalidTail):
+            moment_sequence(TabulatedDensity(x, f, edge=edge))
 
 
 def test_custom_sequence_without_tail_is_allowed():

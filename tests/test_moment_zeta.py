@@ -85,21 +85,37 @@ def test_cross_oracle_against_direct_series(a, s):
 
 
 def test_generic_path_refinement_property():
+    # each cut is within its own bound of the exact
+    # sum_j (2/((j+1)(j+2)))^2 = 8 zeta(2) - 13
     ms = moment_sequence(BetaEdge(beta=1.0))
-    coarse = moment_zeta(ms, 2.0, terms=2_000)
-    fine = moment_zeta(ms, 2.0, terms=4_000)
-    assert abs(fine.value - coarse.value) <= coarse.tail_bound
+    with mpmath.workdps(30):
+        exact = 8 * mpmath.zeta(2) - 13
+        for terms in (2_000, 4_000):
+            res = moment_zeta(ms, 2.0, terms=terms)
+            assert res.terms_used == terms
+            assert abs(res.value - exact) <= res.tail_bound
 
 
 def test_generic_path_meets_tolerance():
-    # beta-edge moments have no exact power law, so the first-order cut is used
+    # beta-edge moments close their tail through the shifted power law
+    # 2 (j+3/2)^-2 and its proven gap, like the exact power laws
     ms = moment_sequence(BetaEdge(beta=1.0))
     res = moment_zeta(ms, 2.0, tol=1e-8)
-    assert res.method == "bonferroni-tail"
-    # independent check value: sum_j (2/((j+1)(j+2)))^2 by brute force
+    assert res.method == "power-law-tail"
+    assert res.tail_bound <= 1e-8
+    # independent check value: sum_j (2/((j+1)(j+2)))^2 by brute force; the
+    # 1e-15 covers its own truncation and rounding
     j = np.arange(1, 2_000_000, dtype=np.float64)
     brute = float(np.sum((2.0 / ((j + 1) * (j + 2))) ** 2))
-    assert res.value == pytest.approx(brute, abs=2e-8)
+    assert abs(res.value - brute) <= res.tail_bound + 1e-15
+
+
+def test_edge_sequence_without_form_is_tail_unavailable():
+    # a tail model alone no longer closes a sum: the engine needs a form
+    ms = moment_sequence(BetaEdge(beta=1.0))
+    bare = MomentSequence(ms.moments, tail=ms.tail)
+    with pytest.raises(TailUnavailable):
+        moment_zeta(bare, 2.0)
 
 
 def test_tail_unavailable():
