@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -218,7 +217,7 @@ def criterion_8(seed: int = 42) -> CriterionResult:
     params = GameParams([0.5, 0.3])
     trials = 10**5
     counts: dict[int, int] = {}
-    for out in game_sim._blocks(partial(game_sim._games_fixed, params), trials, seed + 1):
+    for out in game_sim._blocks(game_sim._fixed_draw(params), 1, params.n, trials, seed + 1):
         for v, c in zip(*np.unique(out.astype(np.int64), return_counts=True)):
             counts[int(v)] = counts.get(int(v), 0) + int(c)
     kmax = max(counts)

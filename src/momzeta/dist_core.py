@@ -188,8 +188,13 @@ class BetaEdge(EdgeDistribution):
         return 1.0 - (1.0 - x) ** (self.beta + 1.0)
 
     def ppf(self, u):
-        u = np.asarray(u, dtype=np.float64)
-        return 1.0 - (1.0 - u) ** (1.0 / (self.beta + 1.0))
+        # 1 - (1 - u)^(1/(beta+1)) in one fresh array; a 0-d u gives a scalar,
+        # which has no buffer to write into
+        x = 1.0 - np.asarray(u, dtype=np.float64)
+        x **= 1.0 / (self.beta + 1.0)
+        if x.ndim == 0:
+            return 1.0 - x
+        return np.subtract(1.0, x, out=x)
 
     def moments(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)

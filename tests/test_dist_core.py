@@ -220,6 +220,27 @@ def test_inverse_cdf_examples():
     assert float(BetaEdge(beta=1.0).ppf(0.75)) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("beta", [0.0, 1.0, 2.0, 2.5, 7.0])
+def test_beta_ppf_bytes_match_closed_form(beta):
+    # the in-place ppf against 1 - (1 - u)^(1/(beta+1)); beta = 1 takes numpy's
+    # square-root path for the exponent 0.5
+    dist = BetaEdge(beta=beta)
+    e = 1.0 / (beta + 1.0)
+    edges = [0.0, 0.5, 1.0 - 2.0**-53]
+    u = np.concatenate([edges, np.random.default_rng(17).random(100_000)])
+    before = u.copy()
+    assert dist.ppf(u).tobytes() == (1.0 - (1.0 - u) ** e).tobytes()
+    assert u.tobytes() == before.tobytes()  # the input is left alone
+    rows = u[len(edges):].reshape(4, -1)  # 2-D, as the game kernels pass it
+    assert dist.ppf(rows).tobytes() == (1.0 - (1.0 - rows) ** e).tobytes()
+    for v in edges:
+        for arg in (v, np.float64(v), np.array(v)):
+            got = dist.ppf(arg)
+            want = 1.0 - (1.0 - np.asarray(arg, dtype=np.float64)) ** e
+            assert type(got) is type(want)
+            assert float(got).hex() == float(want).hex()
+
+
 @pytest.mark.parametrize(
     "dist", [Uniform(), BetaEdge(beta=1.0), BetaEdge(beta=2.0), perturbed_linear()]
 )

@@ -1,18 +1,23 @@
 import math
+import tracemalloc
+from dataclasses import asdict, dataclass
 from functools import partial
 
 import numpy as np
 import pytest
 
-from momzeta.binom_sums import predict
-from momzeta.dist_core import BetaEdge, TabulatedDensity, Uniform
+from momzeta.binom_sums import alt_sum_stable, predict
+from momzeta.dist_core import BetaEdge, TabulatedDensity, Uniform, moment_sequence
 from momzeta import game_sim
-from momzeta.errors import MissingEdgeData, TooManySets
+from momzeta.errors import Divergence, MissingEdgeData, TooManySets
 from momzeta.game_sim import (
+    TRIAL_BLOCK,
     GameParams,
     _block_rng,
     _blocks,
-    _games_fixed,
+    _fixed_draw,
+    _games_random_p,
+    _zeta_draws,
     expected_rounds,
     paper_T_inclusion_exclusion,
     paper_T_series,
@@ -20,6 +25,7 @@ from momzeta.game_sim import (
     win_prob_by,
     zeta_expectation_mc,
 )
+from momzeta.moment_zeta import moment_zeta
 
 ZETA3 = 1.2020569031595942854
 
@@ -152,22 +158,24 @@ def test_rounds_takes_the_max_before_the_ceiling():
     rng = np.random.default_rng(5)
     p = rng.random((4096, 6)) ** 0.2
     p[:, [1, 4]] = 0.0
-    u = 1.0 - rng.random((4096, 6))
-    u[::7] = 1.0
+    r = rng.random((4096, 6))
+    r[::7] = 0.0
     for n in (6, 2, 1, 0):
-        pp, uu = p[:, :n], u[:, :n]
+        pp, rr = p[:, :n], r[:, :n]
         with np.errstate(divide="ignore"):
-            g = np.ceil(np.log(uu) / np.log(pp))
+            log_p = np.log(pp)
+            g = np.ceil(np.log(1.0 - rr) / log_p)
         old = np.where(pp == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=1, initial=1.0)
-        assert game_sim._rounds(pp, uu).tobytes() == old.tobytes()
+        assert game_sim._rounds(log_p, rr.copy()).tobytes() == old.tobytes()
 
 
 def test_games_fixed_all_zero_measures():
-    assert np.all(_games_fixed(GameParams([0.0, 0.0, 0.0]), 20, _block_rng(3, 0)) == 1.0)
+    t = _fixed_draw(GameParams([0.0, 0.0, 0.0]))(np.empty((1, 20, 3)), _block_rng(3, 0))
+    assert np.all(t == 1.0)
 
 
 def test_games_fixed_returns_positive_integers():
-    t = _games_fixed(GameParams([0.7, 0.2]), 50, _block_rng(3, 0))
+    t = _fixed_draw(GameParams([0.7, 0.2]))(np.empty((1, 50, 2)), _block_rng(3, 0))
     assert t.shape == (50,)
     assert np.all(t >= 1.0) and np.all(t == np.floor(t))
 
@@ -201,14 +209,18 @@ def test_run_trials_random_p_matches_alt_sum_target():
     assert 0.9 <= rep.target / guide <= 1.1
 
 
-def test_run_trials_random_p_tabulated_pinned():
-    # 21 nodes of (1 - x)(1 + 0.3 sin 7x) with f(1) = 0: sampled through ppf
+def _tab21():
+    # 21 nodes of (1 - x)(1 + 0.3 sin 7x) with f(1) = 0 and its beta = 1 edge
     x = np.linspace(0.0, 1.0, 21)
     f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
     f = f / np.trapezoid(f, x)
     f[-1] = 0.0
-    dist = TabulatedDensity(x, f, edge=(f[-2] / (x[-1] - x[-2]), 1.0))
-    rep = run_trials("random-p", dist, trials=8192, seed=3, n=20)
+    return TabulatedDensity(x, f, edge=(f[-2] / (x[-1] - x[-2]), 1.0))
+
+
+def test_run_trials_random_p_tabulated_pinned():
+    # sampled through the table's ppf
+    rep = run_trials("random-p", _tab21(), trials=8192, seed=3, n=20)
     assert rep.mean == 9.452392578125
     assert rep.variance == 235.79018839036365
 
@@ -261,7 +273,7 @@ def test_run_trials_validation():
 def test_duration_cdf_matches_product_law():
     params = GameParams([0.5, 0.3])
     trials = 20_000
-    t = np.concatenate(list(_blocks(partial(_games_fixed, params), trials, 5))).astype(np.int64)
+    t = np.concatenate(list(_blocks(_fixed_draw(params), 1, 2, trials, 5))).astype(np.int64)
     ks = 0.0
     for k in range(1, int(t.max()) + 1):
         ks = max(ks, abs(float(np.mean(t <= k)) - win_prob_by(k, params)))
@@ -290,3 +302,170 @@ def test_report_json_schema_keys():
         "mode", "n", "trials", "seed", "mean", "variance", "stderr",
         "target", "target_kind", "heavy_tail",
     ]
+
+
+# ---------------------------------------------------------------------------
+# the run's workspace: reports match the allocating block kernels bit for bit
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _OnesOnShare(Uniform):
+    """Uniform, except that ppf returns 1.0 wherever u < share (redrawn by random-p).
+
+    in_place=True writes into u and returns it, as a ppf that returns its
+    input does when handed the workspace.
+    """
+
+    share: float = 0.3
+    in_place: bool = False
+
+    def ppf(self, u):
+        x = u if self.in_place else np.array(u, dtype=np.float64)
+        x[np.asarray(u) < self.share] = 1.0
+        return x
+
+
+def _ref_ppf(dist, u):
+    if isinstance(dist, BetaEdge):
+        return 1.0 - (1.0 - u) ** (1.0 / (dist.beta + 1.0))
+    return dist.ppf(u)
+
+
+def _ref_rounds(p, u):
+    with np.errstate(divide="ignore"):
+        return np.ceil((np.log(u) / np.log(p)).max(axis=1, initial=1.0))
+
+
+def _ref_fixed(params, n, m, rng):
+    return _ref_rounds(np.asarray(params.p, dtype=np.float64), 1.0 - rng.random((m, n)))
+
+
+def _ref_random_p(dist, n, m, rng):
+    p = np.asarray(_ref_ppf(dist, rng.random((m, n))), dtype=np.float64)
+    while True:
+        bad = p >= 1.0
+        if not np.any(bad):
+            break
+        p[bad] = _ref_ppf(dist, rng.random(int(np.count_nonzero(bad))))
+    return _ref_rounds(p, 1.0 - rng.random((m, n)))
+
+
+def _ref_zeta(dist, n, m, rng):
+    x = np.asarray(_ref_ppf(dist, rng.random((m, n))), dtype=np.float64)
+    return 1.0 / (1.0 - np.prod(x, axis=1))
+
+
+def _reference_report(mode, source, trials, seed, n=None):
+    """The report as the kernels that allocate every block's arrays produce it."""
+    if mode == "fixed-p":
+        n, draw = source.n, _ref_fixed
+        target, kind, heavy = expected_rounds(source, tol=1e-10), "expected-rounds", False
+    else:
+        ms = moment_sequence(source)
+        try:
+            if mode == "random-p":
+                target = 1.0 - alt_sum_stable(ms, n, kmin=1, tol=1e-4).value
+                kind = "one-minus-alt-sum"
+            else:
+                target = 1.0 + moment_zeta(ms, float(n), tol=1e-10).value
+                kind = "one-plus-moment-zeta"
+        except Divergence:
+            target, kind = None, "divergent"
+        if mode == "random-p":
+            draw, heavy = _ref_random_p, ms.tail.alpha <= 2.0
+        else:
+            draw, heavy = _ref_zeta, ms.tail.alpha * n <= 2.0
+    total = total_sq = 0.0
+    for b0 in range(0, trials, TRIAL_BLOCK):
+        m = min(TRIAL_BLOCK, trials - b0)
+        out = draw(source, n, m, _block_rng(seed, b0 // TRIAL_BLOCK))
+        total += float(out.sum())
+        total_sq += float((out * out).sum())
+    mean = total / trials
+    variance = max(total_sq - trials * mean * mean, 0.0) / max(trials - 1, 1)
+    return game_sim.SimulationReport(
+        mode=mode, n=n, trials=trials, seed=seed, mean=mean, variance=variance,
+        stderr=math.sqrt(variance / trials), target=target, target_kind=kind, heavy_tail=heavy,
+    )
+
+
+def _hex(rep):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in asdict(rep).items()}
+
+
+_CASES = {
+    "fixed-p-with-zero": ("fixed-p", GameParams([0.5, 0.0, 0.9, 0.3]), None),
+    "fixed-p-no-sets": ("fixed-p", GameParams([]), None),
+    "random-p-beta0": ("random-p", BetaEdge(beta=0.0), 13),
+    "random-p-beta1": ("random-p", BetaEdge(beta=1.0), 13),
+    "random-p-beta2": ("random-p", BetaEdge(beta=2.0), 13),
+    "random-p-beta2.5": ("random-p", BetaEdge(beta=2.5), 13),
+    "random-p-uniform": ("random-p", Uniform(), 13),
+    "random-p-tab21": ("random-p", _tab21(), 20),
+    "random-p-redraw": ("random-p", _OnesOnShare(), 13),
+    "random-p-redraw-in-place": ("random-p", _OnesOnShare(in_place=True), 13),
+    "zeta-mc-uniform": ("zeta-mc", Uniform(), 3),
+    "zeta-mc-beta2": ("zeta-mc", BetaEdge(beta=2.0), 3),
+}
+
+
+def _run(mode, source, trials, seed, n):
+    if mode == "zeta-mc":
+        return zeta_expectation_mc(source, n, trials, seed)
+    return run_trials(mode, source, trials, seed, n=n)
+
+
+@pytest.mark.parametrize("trials", [1, 4095, 4096, 3 * 4096 + 17])
+@pytest.mark.parametrize("case", list(_CASES))
+def test_reports_match_allocating_kernels_bit_for_bit(case, trials):
+    mode, source, n = _CASES[case]
+    got = _run(mode, source, trials, 29, n)
+    assert _hex(got) == _hex(_reference_report(mode, source, trials, 29, n))
+
+
+def test_redraw_stub_redraws():
+    # the stub sends about 30% of the first draws through the redraw loop
+    rng = _block_rng(29, 0)
+    assert np.mean(_OnesOnShare().ppf(rng.random((4096, 13))) == 1.0) > 0.25
+
+
+@pytest.mark.parametrize("draw, slabs, n", [
+    (_fixed_draw(GameParams([0.5, 0.0, 0.9])), 1, 3),
+    (partial(_games_random_p, BetaEdge(beta=2.0)), 2, 7),
+    (partial(_games_random_p, Uniform()), 2, 7),
+    (partial(_games_random_p, _OnesOnShare(in_place=True)), 2, 7),
+    (partial(_zeta_draws, Uniform()), 1, 3),
+    (partial(_zeta_draws, BetaEdge(beta=2.0)), 1, 3),
+], ids=["fixed-p", "random-p-beta2", "random-p-uniform", "random-p-redraw", "zeta-mc-uniform",
+        "zeta-mc-beta2"])
+def test_blocks_are_their_own_arrays(draw, slabs, n):
+    # callers keep blocks (acceptance criterion 8 and the duration CDF test):
+    # a view into the workspace would be overwritten by the next block
+    trials = 3 * TRIAL_BLOCK + 17
+    kept = list(_blocks(draw, slabs, n, trials, 8))
+    one_at_a_time = [out.copy() for out in _blocks(draw, slabs, n, trials, 8)]
+    assert [a.tobytes() for a in kept] == [b.tobytes() for b in one_at_a_time]
+    assert [a.shape for a in kept] == [(TRIAL_BLOCK,)] * 3 + [(17,)]
+    for i, a in enumerate(kept):
+        assert all(not np.shares_memory(a, b) for b in kept[i + 1:])
+
+
+@pytest.mark.parametrize("run, slabs", [
+    (partial(run_trials, "random-p", BetaEdge(beta=2.0), n=100), 3.25),
+    (partial(run_trials, "fixed-p", GameParams(np.linspace(0.0, 0.99, 100))), 1.25),
+    (partial(zeta_expectation_mc, Uniform(), 100), 1.25),
+    # BetaEdge.ppf returns one fresh array next to the one-slab workspace
+    (partial(zeta_expectation_mc, BetaEdge(beta=2.0), 100), 2.25),
+], ids=["random-p-beta2", "fixed-p", "zeta-mc-uniform", "zeta-mc-beta2"])
+def test_run_peak_memory_in_slabs(run, slabs):
+    # a slab is one TRIAL_BLOCK x n float64 array; numpy reports its buffers
+    # to tracemalloc, so the traced peak counts every block temporary
+    trials = 3 * TRIAL_BLOCK + 17
+    run(trials=trials, seed=2)  # targets and caches built outside the measurement
+    tracemalloc.start()
+    try:
+        run(trials=trials, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= slabs * TRIAL_BLOCK * 100 * 8
