@@ -169,6 +169,15 @@ def _build_source(args, parser: argparse.ArgumentParser):
     return PowerMoments(args.s)
 
 
+class _Once(argparse.Action):
+    """Store the flag's value, and make a second occurrence a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} given more than once; pass one comma-separated list")
+        setattr(namespace, self.dest, values)
+
+
 def _parse_list(text: str, parser: argparse.ArgumentParser, flag: str, kind: type = float) -> list:
     try:
         values = [kind(part) for part in text.split(",") if part]
@@ -425,12 +434,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("game", help="covering game oracles and simulation")
     gsub = p.add_subparsers(dest="game_cmd", required=True)
     pe = gsub.add_parser("exact", help="closed-form duration oracles")
-    pe.add_argument("--p", required=True, help="comma-separated measures p_i in [0,1)")
+    pe.add_argument("--p", required=True, action=_Once,
+                    help="comma-separated measures p_i in [0,1)")
     pe.add_argument("--tol", type=float, default=1e-12)
     common(pe)
     pe.set_defaults(func=_cmd_game_exact)
     ps = gsub.add_parser("simulate", help="Monte Carlo game runs")
-    ps.add_argument("--p", help="fixed measures p_i (fixed-p mode)")
+    ps.add_argument("--p", action=_Once, help="fixed measures p_i (fixed-p mode)")
     _add_dist_args(ps)
     ps.add_argument("--n-sets", type=int, help="number of sets in random-p mode")
     ps.add_argument("--trials", type=int, default=100_000)

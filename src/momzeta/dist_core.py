@@ -276,29 +276,71 @@ class TabulatedDensity(EdgeDistribution):
     def pdf(self, x):
         return np.interp(np.asarray(x, dtype=np.float64), self.x, self.f, left=0.0, right=0.0)
 
+    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-segment x[i+1] - x[i], f[i+1] - f[i] and their ratio, the slope."""
+        width = self.x[1:] - self.x[:-1]
+        rise = self.f[1:] - self.f[:-1]
+        return width, rise, rise / width
+
     def cdf(self, x):
-        x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
-        idx = np.clip(np.searchsorted(self.x, x, side="right") - 1, 0, self.x.size - 2)
-        x0, x1 = self.x[idx], self.x[idx + 1]
-        f0, f1 = self.f[idx], self.f[idx + 1]
-        t = (x - x0) / (x1 - x0)
-        return self._cum[idx] + (x - x0) * (f0 + 0.5 * t * (f1 - f0))
+        # cum[i] + (x - x[i]) (f[i] + 0.5 t (f[i+1] - f[i])), t = (x - x[i]) / (x[i+1] - x[i]),
+        # each factor read from a per-segment table and every step written
+        # into one of four arrays the size of x (take with out= buffers a copy
+        # unless mode="clip"; idx is in range already)
+        x = np.asarray(x, dtype=np.float64)
+        width, rise, _ = self._segments()
+        xc = np.clip(np.atleast_1d(x), 0.0, 1.0)
+        idx = np.searchsorted(self.x, xc, side="right")
+        np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
+        dx = self.x.take(idx)
+        np.subtract(xc, dx, out=dx)
+        t = width.take(idx)
+        np.divide(dx, t, out=t)
+        t *= 0.5
+        t *= rise.take(idx, out=xc, mode="clip")
+        np.add(self.f.take(idx, out=xc, mode="clip"), t, out=t)
+        t *= dx
+        t += self._cum.take(idx, out=xc, mode="clip")
+        return t[0] if x.ndim == 0 else t
 
     def ppf(self, u):
-        # stable root of the segment's quadratic CDF, then one Newton step
+        # stable root of the segment's quadratic CDF, then one Newton step;
+        # per-segment tables and out= keep the temporaries to six arrays the
+        # size of u
         u = np.asarray(u, dtype=np.float64)
-        idx = np.clip(np.searchsorted(self._cum, u, side="left") - 1, 0, self.x.size - 2)
-        x0, f0 = self.x[idx], self.f[idx]
-        width = self.x[idx + 1] - x0
-        slope = (self.f[idx + 1] - f0) / width
-        r = u - self._cum[idx]
-        denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * r, 0.0))
+        ua = np.atleast_1d(u)
+        width, _, slope = self._segments()
+        idx = np.searchsorted(self._cum, ua, side="left")
+        np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
+        r = self._cum.take(idx)
+        np.subtract(ua, r, out=r)
+        f0 = self.f.take(idx)
+        s = slope.take(idx)
+        # denom = f0 + sqrt(max(f0^2 + 2 slope r, 0))
+        denom = np.multiply(f0, f0)
+        x = np.multiply(2.0, s)
+        x *= r
+        denom += x
+        np.sqrt(np.maximum(denom, 0.0, out=denom), out=denom)
+        np.add(f0, denom, out=denom)
         with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
-            x = x0 + np.clip(d, 0.0, width)
-            dens = f0 + slope * (x - x0)
-            x = np.where(dens > 0.0, x - (self.cdf(x) - u) / dens, x)
-        return np.where(u >= self._cum[-1], 1.0, x)
+            # x = x0 + clip(d, 0, width), d = 2 r / denom, or 0 where denom <= 0
+            np.divide(np.multiply(2.0, r, out=x), denom, out=x)
+            np.copyto(x, 0.0, where=~(denom > 0.0))
+            np.clip(x, 0.0, width.take(idx, out=denom, mode="clip"), out=x)
+            x0 = self.x.take(idx, out=r, mode="clip")
+            np.add(x0, x, out=x)
+            # dens = f0 + slope (x - x0)
+            dens = np.subtract(x, x0, out=denom)
+            dens *= s
+            np.add(f0, dens, out=dens)
+            del idx, r, x0, f0, s  # freed before cdf makes its four
+            step = self.cdf(x)
+            step -= ua
+            step /= dens
+            np.subtract(x, step, out=x, where=dens > 0.0)
+        np.copyto(x, 1.0, where=ua >= self._cum[-1])
+        return x.reshape(u.shape)
 
     def moments(self, k) -> np.ndarray:
         # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:

@@ -19,13 +19,17 @@ bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol, found by bisection on
 k, and the terms are summed in numpy blocks of k, so p_max near 1 costs
 milliseconds, not a Python loop over k.
 
-Reproducibility: trials are processed in fixed blocks of 4096, each block
-drawing from a Philox stream keyed by (seed, block index), and the block
-statistics accumulate in block order, so a seed fixes the report bit for bit.
-A run holds one float64 workspace that every block draws into and reduces in
-place: 2 x 4096 x n for random-p (64 KB per set; 6.5 MB at n = 100), one
-4096 x n slab for fixed-p and zeta-mc.  The reports are bit-identical to
-those of the earlier kernels that allocated fresh arrays in every block.
+Reproducibility: trials are processed in fixed blocks of 4096, block b
+drawing from numpy's default PCG64 generator seeded by
+SeedSequence(seed, spawn_key=(b,)), and the block statistics accumulate in
+block order, so a seed fixes the report bit for bit.  A run holds one
+float64 workspace that every block draws into and reduces in place, stored
+set-major (slabs x n x 4096) so that each per-trial reduction over the sets
+runs along axis 0 as whole-vector operations: 2 x n x 4096 for random-p
+(64 KB per set; 6.5 MB at n = 100), one n x 4096 slab for fixed-p and
+zeta-mc.  The streams and the layout are new in this version: every report's
+bytes differ once from those of earlier versions, which drew trial-major
+arrays from other streams, and the sampled laws are unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, SeedSequence
 
 from . import binom_sums
 from .dist_core import EdgeDistribution, moment_sequence
@@ -179,30 +183,33 @@ def expected_rounds(params: GameParams, tol: float = 1e-12) -> float:
 
 
 def _block_rng(seed: int, index: int) -> Generator:
-    return Generator(Philox(key=[seed & 0xFFFFFFFFFFFFFFFF, index]))
+    """Block ``index``'s PCG64 stream: the seed's low 64 bits, spawned at (index,)."""
+    return np.random.default_rng(SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF, spawn_key=(index,)))
 
 
 def _rounds(log_p: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """T = max(1, max_i ceil(log(1 - u_i) / log p_i)) for each row of u, u_i in [0, 1).
+    """T = max(1, max_i ceil(log(1 - u_i) / log p_i)) for each column of u, u_i in [0, 1).
 
-    u is overwritten; the (m,) result is a fresh array.  ceil is monotone, so
-    the max is taken first.  A set with p_i = 0 gives log(1 - u_i) / -inf =
-    +-0, which the initial 1 absorbs, as it does no sets.
+    u is (n, m), one row per set, and log_p is (n, 1) or (n, m).  u is
+    overwritten; the max runs over the sets along axis 0 and the (m,) result
+    is a fresh array.  ceil is monotone, so the max is taken first.  A set
+    with p_i = 0 gives log(1 - u_i) / -inf = +-0, which the initial 1
+    absorbs, as it does no sets.
     """
     np.subtract(1.0, u, out=u)
     np.log(u, out=u)
     np.divide(u, log_p, out=u)
-    t = u.max(axis=1, initial=1.0)
+    t = u.max(axis=0, initial=1.0)
     return np.ceil(t, out=t)
 
 
 def _games_fixed(log_p: np.ndarray, work: np.ndarray, rng: Generator) -> np.ndarray:
-    """One play per row of work, with the measures whose logs are log_p."""
+    """One play per column of work, with the measures whose logs are the column log_p."""
     return _rounds(log_p, rng.random(out=work[0]))
 
 
 def _games_random_p(dist: EdgeDistribution, work: np.ndarray, rng: Generator) -> np.ndarray:
-    """One play per row of work, each with fresh measures from dist (draws of 1.0 redrawn)."""
+    """One play per column of work, each with fresh measures from dist (draws of 1.0 redrawn)."""
     p = np.asarray(dist.ppf(rng.random(out=work[0])), dtype=np.float64)
     while True:
         bad = p >= 1.0
@@ -215,9 +222,9 @@ def _games_random_p(dist: EdgeDistribution, work: np.ndarray, rng: Generator) ->
 
 
 def _zeta_draws(dist: EdgeDistribution, work: np.ndarray, rng: Generator) -> np.ndarray:
-    """One draw of 1/(1 - x_1 ... x_n) per row of work, the x_i independent from dist."""
+    """One draw of 1/(1 - x_1 ... x_n) per column of work, the x_i independent from dist."""
     x = np.asarray(dist.ppf(rng.random(out=work[0])), dtype=np.float64)
-    d = np.prod(x, axis=1)
+    d = np.prod(x, axis=0)
     np.subtract(1.0, d, out=d)
     return np.divide(1.0, d, out=d)
 
@@ -227,22 +234,23 @@ Draw = Callable[[np.ndarray, Generator], np.ndarray]
 
 def _blocks(draw: Draw, slabs: int, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:
     """Each block's ``draw(work, rng)``, in order: trials in blocks of TRIAL_BLOCK,
-    block b drawing from the Philox stream keyed by (seed, b).
+    block b drawing from ``_block_rng(seed, b)``.
 
-    One (slabs, min(trials, TRIAL_BLOCK), n) workspace serves the whole run;
-    a block of m trials gets its first m rows.  Every yielded array is the
-    draw's own, so blocks may be kept while later ones are drawn.
+    One flat buffer of slabs x n x min(trials, TRIAL_BLOCK) floats serves the
+    whole run; a block of m trials gets its first slabs x n x m as the
+    contiguous (slabs, n, m) array work.  Every yielded array is the draw's
+    own, so blocks may be kept while later ones are drawn.
     """
-    work = np.empty((slabs, min(trials, TRIAL_BLOCK), n))
+    buf = np.empty(slabs * n * min(trials, TRIAL_BLOCK))
     for b0 in range(0, trials, TRIAL_BLOCK):
         m = min(TRIAL_BLOCK, trials - b0)
-        yield draw(work[:, :m], _block_rng(seed, b0 // TRIAL_BLOCK))
+        yield draw(buf[: slabs * n * m].reshape(slabs, n, m), _block_rng(seed, b0 // TRIAL_BLOCK))
 
 
 def _fixed_draw(params: GameParams) -> Draw:
-    """The fixed-p kernel for params, with log p_i taken once for the run."""
+    """The fixed-p kernel for params, with log p_i taken once for the run as an (n, 1) column."""
     with np.errstate(divide="ignore"):
-        return partial(_games_fixed, np.log(np.asarray(params.p, dtype=np.float64)))
+        return partial(_games_fixed, np.log(np.asarray(params.p, dtype=np.float64))[:, None])
 
 
 def _simulate(mode: str, n: int, draw: Draw, slabs: int, trials: int, seed: int,
@@ -279,10 +287,11 @@ def run_trials(
     (1 - (1 - m_k)^n) is finite exactly when alpha > 2, so heavy_tail is
     alpha <= 2.  Targets are computed before any trial is played.
 
-    The run holds one float64 workspace, 2 x 4096 x n for random-p (6.5 MB at
-    n = 100) and 4096 x n for fixed-p; each block of 4096 trials draws into
-    it and reduces in place, and the report is bit-identical to that of the
-    earlier kernels, which allocated fresh arrays in every block.
+    The run holds one set-major float64 workspace, 2 x n x 4096 for random-p
+    (6.5 MB at n = 100) and n x 4096 for fixed-p; each block of 4096 trials
+    draws into it from its own PCG64 stream and reduces over the sets along
+    axis 0, in place.  Reports differ in their bytes, not in the law sampled,
+    from those of versions before these streams and this layout.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

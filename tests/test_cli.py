@@ -254,6 +254,21 @@ def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["game", "simulate", "--p", "0.5", "--p", "0.9", "--trials", "1000"],
+    ["game", "simulate", "--p", "0.5", "--trials", "1000", "--p", "0.5"],
+    ["game", "exact", "--p", "0.5", "--p", "0.9"],
+], ids=["simulate", "simulate-same-value", "exact"])
+def test_repeated_p_is_a_usage_error(capsys, argv):
+    # argparse would keep only the last --p and play [0.9]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--p given more than once" in err
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--k-max", "-5"), ("--k-max", "0"), ("--points", "0"), ("--points", "-1"),
 ])

@@ -291,6 +291,57 @@ def test_tabulated_ppf_edges(make):
     assert np.all(dist.ppf(np.array([top, np.nextafter(top, 2.0), 1.0])) == 1.0)
 
 
+def _segment_cdf(dist, x):
+    # the table's cdf written with per-element segment expressions
+    x = np.clip(np.asarray(x, dtype=np.float64), 0.0, 1.0)
+    idx = np.clip(np.searchsorted(dist.x, x, side="right") - 1, 0, dist.x.size - 2)
+    x0, x1 = dist.x[idx], dist.x[idx + 1]
+    f0, f1 = dist.f[idx], dist.f[idx + 1]
+    t = (x - x0) / (x1 - x0)
+    return dist._cum[idx] + (x - x0) * (f0 + 0.5 * t * (f1 - f0))
+
+
+def _segment_ppf(dist, u):
+    # the table's ppf written with per-element segment expressions
+    u = np.asarray(u, dtype=np.float64)
+    idx = np.clip(np.searchsorted(dist._cum, u, side="left") - 1, 0, dist.x.size - 2)
+    x0, f0 = dist.x[idx], dist.f[idx]
+    width = dist.x[idx + 1] - x0
+    slope = (dist.f[idx + 1] - f0) / width
+    r = u - dist._cum[idx]
+    denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * r, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
+        x = x0 + np.clip(d, 0.0, width)
+        dens = f0 + slope * (x - x0)
+        x = np.where(dens > 0.0, x - (_segment_cdf(dist, x) - u) / dens, x)
+    return np.where(u >= dist._cum[-1], 1.0, x)
+
+
+@pytest.mark.parametrize("make", [perturbed_linear, edge_zero_table, zero_segment_table])
+def test_tabulated_ppf_cdf_bytes_match_segment_expressions(make):
+    # ppf and cdf read per-segment tables and write in place: the same
+    # expressions per segment, so the same bytes
+    dist = make()
+    edges = np.concatenate([[0.0, 1.0], dist._cum, [dist._cum[-1]]])
+    draws = np.random.default_rng(23).random(100_000)
+    for u in (edges, edges.reshape(1, -1), draws, draws.reshape(4, -1)):
+        before = u.copy()
+        x = dist.ppf(u)
+        assert x.shape == u.shape
+        assert x.tobytes() == _segment_ppf(dist, u).tobytes()
+        assert u.tobytes() == before.tobytes()  # the input is left alone
+        assert dist.cdf(x).tobytes() == _segment_cdf(dist, x).tobytes()
+    grid = np.concatenate([[-0.5, 1.5], dist.x, draws])
+    assert dist.cdf(grid).tobytes() == _segment_cdf(dist, grid).tobytes()
+    for v in (0.0, 1.0, float(dist._cum[1]), 0.37):
+        for arg in (v, np.float64(v), np.array(v)):
+            for got, want in ((dist.ppf(arg), _segment_ppf(dist, arg)),
+                              (dist.cdf(arg), _segment_cdf(dist, arg))):
+                assert type(got) is type(want) and np.shape(got) == np.shape(want)
+                assert float(got).hex() == float(want).hex()
+
+
 # ---------------------------------------------------------------------------
 # moment sequences
 # ---------------------------------------------------------------------------

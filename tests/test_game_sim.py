@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from dataclasses import asdict, dataclass
@@ -155,27 +156,34 @@ def test_game_params_validation():
 
 def test_rounds_takes_the_max_before_the_ceiling():
     # against the per-set form: ceil each G_i, G_i = 1 where p_i = 0, then the max
+    # (one row per set, one column per trial)
     rng = np.random.default_rng(5)
-    p = rng.random((4096, 6)) ** 0.2
-    p[:, [1, 4]] = 0.0
-    r = rng.random((4096, 6))
-    r[::7] = 0.0
+    p = rng.random((6, 4096)) ** 0.2
+    p[[1, 4]] = 0.0
+    r = rng.random((6, 4096))
+    r[:, ::7] = 0.0
     for n in (6, 2, 1, 0):
-        pp, rr = p[:, :n], r[:, :n]
+        pp, rr = p[:n], r[:n]
         with np.errstate(divide="ignore"):
             log_p = np.log(pp)
             g = np.ceil(np.log(1.0 - rr) / log_p)
-        old = np.where(pp == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=1, initial=1.0)
+        old = np.where(pp == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=0, initial=1.0)
         assert game_sim._rounds(log_p, rr.copy()).tobytes() == old.tobytes()
+        # the fixed-p kernel's (n, 1) column of logs, one measure per set
+        with np.errstate(divide="ignore"):
+            col = np.log(pp[:, :1])
+            g = np.ceil(np.log(1.0 - rr) / col)
+        old = np.where(pp[:, :1] == 0.0, 1.0, np.maximum(g, 1.0)).max(axis=0, initial=1.0)
+        assert game_sim._rounds(col, rr.copy()).tobytes() == old.tobytes()
 
 
 def test_games_fixed_all_zero_measures():
-    t = _fixed_draw(GameParams([0.0, 0.0, 0.0]))(np.empty((1, 20, 3)), _block_rng(3, 0))
+    t = _fixed_draw(GameParams([0.0, 0.0, 0.0]))(np.empty((1, 3, 20)), _block_rng(3, 0))
     assert np.all(t == 1.0)
 
 
 def test_games_fixed_returns_positive_integers():
-    t = _fixed_draw(GameParams([0.7, 0.2]))(np.empty((1, 50, 2)), _block_rng(3, 0))
+    t = _fixed_draw(GameParams([0.7, 0.2]))(np.empty((1, 2, 50)), _block_rng(3, 0))
     assert t.shape == (50,)
     assert np.all(t >= 1.0) and np.all(t == np.floor(t))
 
@@ -221,8 +229,8 @@ def _tab21():
 def test_run_trials_random_p_tabulated_pinned():
     # sampled through the table's ppf
     rep = run_trials("random-p", _tab21(), trials=8192, seed=3, n=20)
-    assert rep.mean == 9.452392578125
-    assert rep.variance == 235.79018839036365
+    assert rep.mean == 9.530029296875
+    assert rep.variance == 282.45960356402986
 
 
 def test_run_trials_random_p_uniform_flags_heavy_tail():
@@ -280,6 +288,55 @@ def test_duration_cdf_matches_product_law():
     assert ks <= 0.02
 
 
+@pytest.mark.parametrize("dist, n", [(BetaEdge(beta=2.0), 20), (Uniform(), 5)],
+                         ids=["beta2-n20", "uniform-n5"])
+def test_random_p_duration_cdf_matches_moment_law(dist, n):
+    # P(T <= k) = (1 - m_k)^n: given p_i, set i is missed by round k with
+    # probability 1 - p_i^k, whose mean over dist is 1 - m_k
+    trials = 100_000
+    t = np.concatenate(list(_blocks(partial(_games_random_p, dist), 2, n, trials, 31)))
+    v, counts = np.unique(t, return_counts=True)
+    below = np.concatenate([[0], np.cumsum(counts)[:-1]]) / trials  # P_emp(T <= v - 1)
+    upto = np.cumsum(counts) / trials  # P_emp(T <= v)
+
+    def law(k):
+        m = np.where(k >= 1.0, dist.moments(np.maximum(k, 1.0)), 1.0)
+        return (1.0 - m) ** n
+
+    # the empirical CDF steps only at the observed values, and the law
+    # increases in k, so the sup over k sits at some v or v - 1
+    ks = max(float(np.max(np.abs(upto - law(v)))), float(np.max(np.abs(below - law(v - 1.0)))))
+    assert v[0] >= 1.0 and np.all(v == np.floor(v))
+    assert ks <= 0.01
+
+
+def test_block_rng_is_pcg64_spawned_from_the_seed():
+    mask = 0xFFFF_FFFF_FFFF_FFFF
+    pinned = {
+        (42, 0): ["0x1.d55f7d7efeabap-1", "0x1.d26cd83129b28p-1", "0x1.c0d0bb966f9fep-1",
+                  "0x1.3cbdf7155fba0p-2"],
+        (42, 1): ["0x1.deb5e72c4c7d0p-2", "0x1.7c826565d63e0p-5", "0x1.30e6b01f4fe67p-1",
+                  "0x1.b76640f643aa8p-4"],
+        (-1, 3): ["0x1.58b2e49402720p-4", "0x1.17345ff553db3p-1", "0x1.3001906e20394p-2",
+                  "0x1.c361dd49901cap-1"],
+    }
+    for (seed, b), want in pinned.items():
+        rng = _block_rng(seed, b)
+        assert type(rng.bit_generator) is np.random.PCG64
+        ref = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed & mask,
+                                                                         spawn_key=(b,))))
+        got = rng.random(4)
+        assert [float(v).hex() for v in got] == want
+        assert got.tobytes() == ref.random(4).tobytes()
+    # a negative seed keeps mapping through the mask
+    for seed in (-1, -42, -(2**70) + 5):
+        assert (_block_rng(seed, 2).random(4).tobytes()
+                == _block_rng(seed & mask, 2).random(4).tobytes())
+    # distinct blocks, and distinct seeds, give distinct streams
+    firsts = {_block_rng(seed, b).random(4).tobytes() for seed in (0, 1, 42) for b in range(64)}
+    assert len(firsts) == 3 * 64
+
+
 # ---------------------------------------------------------------------------
 # zeta expectation Monte Carlo
 # ---------------------------------------------------------------------------
@@ -333,30 +390,30 @@ def _ref_ppf(dist, u):
 
 def _ref_rounds(p, u):
     with np.errstate(divide="ignore"):
-        return np.ceil((np.log(u) / np.log(p)).max(axis=1, initial=1.0))
+        return np.ceil((np.log(u) / np.log(p)).max(axis=0, initial=1.0))
 
 
 def _ref_fixed(params, n, m, rng):
-    return _ref_rounds(np.asarray(params.p, dtype=np.float64), 1.0 - rng.random((m, n)))
+    return _ref_rounds(np.asarray(params.p, dtype=np.float64)[:, None], 1.0 - rng.random((n, m)))
 
 
 def _ref_random_p(dist, n, m, rng):
-    p = np.asarray(_ref_ppf(dist, rng.random((m, n))), dtype=np.float64)
+    p = np.asarray(_ref_ppf(dist, rng.random((n, m))), dtype=np.float64)
     while True:
         bad = p >= 1.0
         if not np.any(bad):
             break
         p[bad] = _ref_ppf(dist, rng.random(int(np.count_nonzero(bad))))
-    return _ref_rounds(p, 1.0 - rng.random((m, n)))
+    return _ref_rounds(p, 1.0 - rng.random((n, m)))
 
 
 def _ref_zeta(dist, n, m, rng):
-    x = np.asarray(_ref_ppf(dist, rng.random((m, n))), dtype=np.float64)
-    return 1.0 / (1.0 - np.prod(x, axis=1))
+    x = np.asarray(_ref_ppf(dist, rng.random((n, m))), dtype=np.float64)
+    return 1.0 / (1.0 - np.prod(x, axis=0))
 
 
 def _reference_report(mode, source, trials, seed, n=None):
-    """The report as the kernels that allocate every block's arrays produce it."""
+    """The report as set-major kernels that allocate every block's arrays produce it."""
     if mode == "fixed-p":
         n, draw = source.n, _ref_fixed
         target, kind, heavy = expected_rounds(source, tol=1e-10), "expected-rounds", False
@@ -450,13 +507,27 @@ def test_blocks_are_their_own_arrays(draw, slabs, n):
         assert all(not np.shares_memory(a, b) for b in kept[i + 1:])
 
 
+@functools.cache
+def _draw_block():
+    return np.random.default_rng(4).random((100, TRIAL_BLOCK))
+
+
+def _ppf_of_block(dist, trials, seed):
+    # one ppf call on a (100, TRIAL_BLOCK) block of draws made before tracing
+    return dist.ppf(_draw_block())
+
+
 @pytest.mark.parametrize("run, slabs", [
     (partial(run_trials, "random-p", BetaEdge(beta=2.0), n=100), 3.25),
     (partial(run_trials, "fixed-p", GameParams(np.linspace(0.0, 0.99, 100))), 1.25),
     (partial(zeta_expectation_mc, Uniform(), 100), 1.25),
     # BetaEdge.ppf returns one fresh array next to the one-slab workspace
     (partial(zeta_expectation_mc, BetaEdge(beta=2.0), 100), 2.25),
-], ids=["random-p-beta2", "fixed-p", "zeta-mc-uniform", "zeta-mc-beta2"])
+    # the table's ppf holds about six arrays the size of its input
+    (partial(_ppf_of_block, _tab21()), 10.5),
+    (partial(run_trials, "random-p", _tab21(), n=100), 12.5),
+], ids=["random-p-beta2", "fixed-p", "zeta-mc-uniform", "zeta-mc-beta2", "tab21-ppf",
+        "random-p-tab21"])
 def test_run_peak_memory_in_slabs(run, slabs):
     # a slab is one TRIAL_BLOCK x n float64 array; numpy reports its buffers
     # to tracemalloc, so the traced peak counts every block temporary
