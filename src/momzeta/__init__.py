@@ -24,19 +24,16 @@ from .dist_core import (
     PowerLawForm,
     PowerMoments,
     TabulatedDensity,
-    TailModel,
     Uniform,
     load_tabulated_csv,
     moment_quadrature,
     moment_sequence,
     riemann_sequence,
-    tail_model,
 )
 from .errors import (
     Divergence,
     DomainError,
     InvalidTail,
-    MissingEdgeData,
     MomentZetaError,
     PrecisionExhausted,
     QuadratureFailure,
@@ -67,7 +64,6 @@ __all__ = [
     "EdgeDistribution",
     "GameParams",
     "InvalidTail",
-    "MissingEdgeData",
     "MomentSequence",
     "MomentZetaError",
     "PowerLawForm",
@@ -77,7 +73,6 @@ __all__ = [
     "SimulationReport",
     "SumResult",
     "TabulatedDensity",
-    "TailModel",
     "TailUnavailable",
     "TooManySets",
     "Uniform",
@@ -99,7 +94,6 @@ __all__ = [
     "riemann_zeta_source",
     "run_trials",
     "scaled_riemann_zeta_source",
-    "tail_model",
     "uniform_zeta_source",
     "win_prob_by",
     "zeta_expectation_mc",

@@ -282,7 +282,7 @@ def criterion_11(seed: int = 42) -> CriterionResult:
     """alpha = 1 growth law on a perturbed linear density with edge value c."""
     n = 10_000
     c = ALPHA1_EDGE_C
-    dist = TabulatedDensity([0.0, 1.0], [2.0 - c, c], edge=(c, 0.0))
+    dist = TabulatedDensity([0.0, 1.0], [2.0 - c, c])
     ms = moment_sequence(dist)
     value = binom_sums.alt_sum_stable(ms, n, kmin=2, tol=25.0).value
     ratio = value / (c * n * math.log(n))

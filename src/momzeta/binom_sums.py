@@ -135,9 +135,9 @@ def alt_sum_stable(ms: MomentSequence, n: int, kmin: int = 1, tol: float = 1e-8,
         raise ValueError(f"need integer n >= kmin, got n={n!r}")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    if ms.tail is None:
-        raise TailUnavailable("alt_sum_stable needs a tail model")
-    alpha = ms.tail.alpha
+    if ms.power_law is None:
+        raise TailUnavailable("alt_sum_stable needs a power-law form")
+    alpha = ms.power_law.alpha
     if kmin == 1 and alpha <= 1.0:
         raise Divergence(
             f"A(n; 1) diverges for alpha = {alpha:.6g} <= 1: the k=1 term is the"

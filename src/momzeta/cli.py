@@ -159,7 +159,9 @@ def _build_source(args, parser: argparse.ArgumentParser):
     if args.dist == "tabulated":
         if args.table is None:
             parser.error("--dist tabulated needs --table")
-        edge = (args.c, args.beta) if args.c is not None and args.beta is not None else None
+        if (args.c is None) != (args.beta is None):
+            parser.error("--dist tabulated checks --c and --beta together; pass both or neither")
+        edge = None if args.c is None else (args.c, args.beta)
         return load_tabulated_csv(args.table, edge=edge)
     if args.dist == "riemann":
         return PowerMoments(1.0)
@@ -223,11 +225,11 @@ def _cmd_moments(args, parser) -> int:
     if isinstance(source, PowerMoments):
         parser.error("moments needs a distribution, not an abstract sequence")
     ms = moment_sequence(source)
-    tm = ms.tail
+    pl = ms.power_law
     ks = np.unique(np.round(np.geomspace(1, args.k_max, args.points)).astype(np.int64))
     m = ms.moments(ks)
     rows = [
-        (int(k), float(mk), float(k**tm.alpha * mk), tm.L)
+        (int(k), float(mk), float(k**pl.alpha * mk), pl.L)
         for k, mk in zip(ks, m)
     ]
     text = _csv_text(("k", "m_k", "k_pow_alpha_m_k", "tail_L"), rows)

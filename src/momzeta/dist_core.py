@@ -1,4 +1,4 @@
-"""Distributions on [0,1]: densities, CDFs, samplers, moments, tail models.
+"""Distributions on [0,1]: densities, CDFs, samplers, moments, power-law tails.
 
 Three density families are supported:
 
@@ -8,16 +8,15 @@ Three density families are supported:
   m_k = prod_{i=1}^{beta+1} i/(k+i), otherwise it goes through log-gammas;
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
   integrated exactly segment by segment; once x^(k+1) underflows at every
-  node but the last, the sum is the last segment's A/(k+1) + B/(k+2)
+  node but the last, the sum is the last segment's f[-1]/(k+2) + A/((k+1)(k+2))
   (f = A + B x there, and x[-1] = 1).
 
-All distributions expose the edge behaviour f(x) ~ c (1-x)^beta near x = 1,
-which fixes the moment decay m_k ~ L k^(-alpha) with L = c Gamma(beta+1) and
-alpha = beta + 1 (a ``TailModel``).  Every built-in sequence also carries a
-``PowerLawForm`` L (j+shift)^(-alpha) with a proven gap on its log-ratio to
-m_j, which closes every truncated sum downstream.  Moment sequences (from a
-distribution or the abstract power family m_j = j^(-s)) are the universal
-input of the summation engines.
+A sequence's tail is described once, by its ``PowerLawForm``
+m_j ~ L (j+shift)^(-alpha) with a proven gap on its log-ratio to m_j; the
+form closes every truncated sum downstream.  The edge behaviour
+f(x) ~ c (1-x)^beta near x = 1 is derived from it: L = c Gamma(beta+1) and
+alpha = beta + 1.  Moment sequences (from a distribution or the abstract
+power family m_j = j^(-s)) are the universal input of the summation engines.
 
 Objects are immutable after construction; sampling is ``ppf`` applied to
 the caller's uniforms, so determinism is entirely in the caller's hands.
@@ -33,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidTail, MissingEdgeData, QuadratureFailure
+from .errors import DomainError, InvalidTail, QuadratureFailure, TailUnavailable
 
 __all__ = [
     "EdgeDistribution",
@@ -41,35 +40,19 @@ __all__ = [
     "BetaEdge",
     "TabulatedDensity",
     "PowerMoments",
-    "TailModel",
     "PowerLawForm",
     "MomentSequence",
     "moment_quadrature",
-    "tail_model",
     "moment_sequence",
     "load_tabulated_csv",
 ]
 
 _MASS_TOL = 1e-10
 # (beta+1)! = c Gamma(beta+1) is finite up to this beta, the range where
-# tail_model builds a sequence; BetaEdge uses its rational moments there
+# BetaEdge has a power-law form; it uses its rational moments there
 _INT_BETA_MAX = 169
 # a power whose true value is below 2^-1100 rounds to 0 in any pow kernel
 _LOG_UNDERFLOW = -1100.0 * math.log(2.0)
-
-
-@dataclass(frozen=True)
-class TailModel:
-    """Moment decay law m(x) ~ L x^(-alpha)."""
-
-    L: float
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (self.L > 0.0):
-            raise ValueError(f"tail constant L must be positive, got {self.L}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"decay exponent alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +67,12 @@ class PowerLawForm:
     alpha: float
     shift: float = 0.0
     gap: Callable[[float], float] = field(default=lambda J: 0.0, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not (0.0 < self.L < math.inf):
+            raise ValueError(f"tail constant L must be positive and finite, got {self.L}")
+        if not (self.alpha > 0.0):
+            raise ValueError(f"decay exponent alpha must be positive, got {self.alpha}")
 
 
 def _beta_gap(beta: float) -> Callable[[float], float]:
@@ -121,8 +110,11 @@ class EdgeDistribution:
         raise NotImplementedError
 
     def edge_params(self) -> tuple[float, float]:
-        """(c, beta) of the density near x = 1."""
-        raise MissingEdgeData(f"{self.family} distribution has no edge data")
+        """(c, beta) of the density near x = 1: (L/Gamma(alpha), alpha - 1) of its form."""
+        pl = self.power_law_form()
+        if pl is None:
+            raise TailUnavailable(f"{self.family} distribution has no power-law form")
+        return (pl.L / math.gamma(pl.alpha), pl.alpha - 1.0)
 
     def power_law_form(self) -> PowerLawForm | None:
         return None
@@ -147,9 +139,6 @@ class Uniform(EdgeDistribution):
     def moments(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)
         return 1.0 / (k + 1.0)
-
-    def edge_params(self) -> tuple[float, float]:
-        return (1.0, 0.0)
 
     def power_law_form(self) -> PowerLawForm:
         return PowerLawForm(L=1.0, alpha=1.0, shift=1.0)
@@ -219,8 +208,14 @@ class BetaEdge(EdgeDistribution):
         return (self.c, self.beta)
 
     def power_law_form(self) -> PowerLawForm:
-        tm = tail_model(self)  # L = c Gamma(beta+1) = Gamma(beta+2)
-        return PowerLawForm(L=tm.L, alpha=tm.alpha, shift=self.beta / 2.0 + 1.0,
+        try:
+            L = self.c * math.gamma(self.beta + 1.0)  # = Gamma(beta+2)
+        except OverflowError:
+            L = math.inf
+        if not math.isfinite(L):
+            raise DomainError(
+                f"tail constant c Gamma(beta+1) overflows for c={self.c}, beta={self.beta}")
+        return PowerLawForm(L=L, alpha=self.beta + 1.0, shift=self.beta / 2.0 + 1.0,
                             gap=_beta_gap(self.beta))
 
 
@@ -229,8 +224,9 @@ class TabulatedDensity(EdgeDistribution):
 
     The grid must cover [0, 1] (its ends are then set to 0 and 1) and the
     trapezoid mass must equal 1 within 1e-10 (pass normalize=True to rescale
-    instead).  edge=(c, beta) unlocks the tail model; it must be the last
-    segment's, (f[-1], 0) or, when f[-1] = 0, (f[-2]/(1 - x[-2]), 1).
+    instead).  The last segment fixes the edge (c, beta): (f[-1], 0), or
+    (f[-2]/(1 - x[-2]), 1) when f[-1] = 0.  edge=(c, beta) is optional and
+    only checked against it: a different value raises InvalidTail.
     """
 
     family = "tabulated"
@@ -346,15 +342,16 @@ class TabulatedDensity(EdgeDistribution):
         # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:
         # A (x1^(k+1) - x0^(k+1))/(k+1) + B (x1^(k+2) - x0^(k+2))/(k+2).
         # Once x^(k+1) underflows to 0 at every node but the last, the other
-        # segments add only +-0, so the sum is the last segment's term alone
-        # (A/(k+1) + B/(k+2) when x[-1] = 1); rows over every segment are
-        # built only for the k before that point.
+        # segments add only +-0, so the sum is the last segment's term alone,
+        # A/(k+1) + B/(k+2) with x[-1] = 1, taken as f[-1]/(k+2) + A/((k+1)(k+2))
+        # so the two terms cannot cancel when f[-1] is small; rows over every
+        # segment are built only for the k before that point.
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
         x0, x1 = self.x[:-1], self.x[1:]
         f0, f1 = self.f[:-1], self.f[1:]
         B = (f1 - f0) / (x1 - x0)
         A = f0 - B * x0
-        out = A[-1] / (k + 1.0) + B[-1] / (k + 2.0)
+        out = f1[-1] / (k + 2.0) + A[-1] / ((k + 1.0) * (k + 2.0))
         with np.errstate(divide="ignore"):
             near = (k + 1.0) * np.log(np.max(np.abs(x0))) > _LOG_UNDERFLOW
         kn = k[near]
@@ -368,13 +365,6 @@ class TabulatedDensity(EdgeDistribution):
         out[near] = rows
         return out
 
-    def edge_params(self) -> tuple[float, float]:
-        if self._edge is None:
-            raise MissingEdgeData(
-                "tabulated density has no (c, beta) edge data; pass edge=(c, beta)"
-            )
-        return self._edge
-
     def power_law_form(self) -> PowerLawForm:
         """The last segment f = A + B x as the pole part; the other segments go in the gap.
 
@@ -383,7 +373,6 @@ class TabulatedDensity(EdgeDistribution):
         rest adds at most S x[-2]^(j+1)/(j+1) to m_j, S = sum_i |A_i| + |B_i|,
         which relative to the form peaks at j* = alpha/(-log x[-2]) - shift.
         """
-        c, beta = self.edge_params()
         x2, f2, f1 = float(self.x[-2]), float(self.f[-2]), float(self.f[-1])
         B = (f1 - f2) / (1.0 - x2)
         if f1 > 0.0:
@@ -392,11 +381,16 @@ class TabulatedDensity(EdgeDistribution):
             def pole_gap(J: float) -> float:
                 q = q0 / ((J + 2.0) * (J + 3.0))
                 return q / (1.0 - q) if q < 1.0 and J + shift >= 0.0 else math.inf
-        else:
+        elif f2 > 0.0:
             L, alpha, shift, pole_gap = f2 / (1.0 - x2), 2.0, 1.5, _beta_gap(1.0)
-        if beta != alpha - 1.0 or not math.isclose(c, L, rel_tol=1e-9):
-            raise InvalidTail(f"edge data (c, beta) = ({c:.6g}, {beta:.6g}) differs from the "
-                              f"last segment's ({L:.6g}, {alpha - 1.0:g})")
+        else:
+            raise TailUnavailable("the table's last segment is 0: its moments decay faster "
+                                  "than any power law")
+        if self._edge is not None:
+            c, beta = self._edge
+            if beta != alpha - 1.0 or not math.isclose(c, L, rel_tol=1e-9):
+                raise InvalidTail(f"edge data (c, beta) = ({c:.6g}, {beta:.6g}) differs from "
+                                  f"the last segment's ({L:.6g}, {alpha - 1.0:g})")
         if x2 == 0.0:
             return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=pole_gap)
         slopes = np.diff(self.f) / np.diff(self.x)
@@ -427,25 +421,23 @@ class PowerMoments:
 
 
 class MomentSequence:
-    """A decreasing sequence m_j in (0, 1] with a tail model.
+    """A decreasing sequence m_j in (0, 1] and the power-law form of its tail.
 
-    ``evaluator`` maps an integer array j >= 1 to m_j.  The summation
-    engines close truncated sums through ``power_law`` and raise
-    TailUnavailable without it (or without ``tail``, as for raw user
-    sequences).
+    ``evaluator`` maps an integer array j >= 1 to m_j.  ``power_law`` is the
+    only description of the tail: the summation engines read alpha and L
+    from it and close truncated sums through it, and raise TailUnavailable
+    when it is None, as for raw user sequences.
     """
 
     def __init__(
         self,
         evaluator: Callable[[np.ndarray], np.ndarray],
-        tail: TailModel | None,
+        power_law: PowerLawForm | None,
         provenance: str = "abstract",
-        power_law: PowerLawForm | None = None,
     ) -> None:
         self._evaluator = evaluator
-        self.tail = tail
-        self.provenance = provenance
         self.power_law = power_law
+        self.provenance = provenance
 
     def moments(self, j) -> np.ndarray:
         j = np.asarray(j)
@@ -489,23 +481,6 @@ def moment_quadrature(dist: EdgeDistribution, k: int, tol: float = 1e-12) -> flo
     return value
 
 
-def tail_model(dist: EdgeDistribution) -> TailModel:
-    """TailModel (L, alpha) from the density's edge behaviour.
-
-    L = c Gamma(beta+1) and alpha = beta+1; tabulated densities without
-    user-supplied edge data raise MissingEdgeData, and edges whose L
-    overflows a float raise DomainError.
-    """
-    c, beta = dist.edge_params()
-    try:
-        L = c * math.gamma(beta + 1.0)
-    except OverflowError:
-        L = math.inf
-    if not math.isfinite(L):
-        raise DomainError(f"tail constant c Gamma(beta+1) overflows for c={c}, beta={beta}")
-    return TailModel(L=L, alpha=beta + 1.0)
-
-
 def _spot_check(seq: MomentSequence, provenance: str) -> None:
     js = np.unique(np.round(np.geomspace(1, 1000, 40)).astype(np.int64))
     m = seq.moments(js)
@@ -518,15 +493,13 @@ def _spot_check(seq: MomentSequence, provenance: str) -> None:
 def moment_sequence(source: EdgeDistribution | PowerMoments) -> MomentSequence:
     """MomentSequence from a distribution or the abstract power family.
 
-    The abstract PowerMoments(s) form has m_j = j^(-s) with tail
+    The abstract PowerMoments(s) form has m_j = j^(-s), an exact power law
     (L=1, alpha=s); PowerMoments(1.0) is the Riemann sequence.
     """
     if isinstance(source, PowerMoments):
-        return MomentSequence(source.moments, TailModel(L=1.0, alpha=source.s), "abstract",
-                              PowerLawForm(L=1.0, alpha=source.s, shift=0.0))
+        return MomentSequence(source.moments, PowerLawForm(L=1.0, alpha=source.s), "abstract")
     if isinstance(source, EdgeDistribution):
-        seq = MomentSequence(source.moments, tail_model(source), "from-distribution",
-                             source.power_law_form())
+        seq = MomentSequence(source.moments, source.power_law_form(), "from-distribution")
         _spot_check(seq, source.family)
         return seq
     raise TypeError(f"cannot build a moment sequence from {type(source).__name__}")
@@ -553,6 +526,10 @@ def load_tabulated_csv(
         for row in reader:
             if not row:
                 continue
-            xs.append(float(row[0]))
-            fs.append(float(row[1]))
+            try:
+                xs.append(float(row[0]))
+                fs.append(float(row[1]))
+            except (IndexError, ValueError):
+                raise ValueError(f"{path}, line {reader.line_num}: expected two numbers x,f, "
+                                 f"got {','.join(row)!r}") from None
     return TabulatedDensity(xs, fs, edge=edge, normalize=normalize)

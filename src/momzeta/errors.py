@@ -15,19 +15,19 @@ class Divergence(MomentZetaError):
 
 
 class TailUnavailable(MomentZetaError):
-    """An operation needs a tail model and the moment sequence has none."""
+    """An operation needs a power-law form of the tail and the sequence has none."""
 
 
 class QuadratureFailure(MomentZetaError):
     """Numerical integration could not reach the requested tolerance."""
 
 
-class MissingEdgeData(MomentZetaError):
-    """A tabulated density has no user-supplied edge behaviour (c, beta)."""
-
-
 class InvalidTail(MomentZetaError):
-    """Spot checks show the moment sequence contradicts its tail model."""
+    """The moments contradict their power-law form or the edge data given for it.
+
+    Raised when spot checks find moments outside (0, 1] or not decreasing,
+    and when a table's edge=(c, beta) differs from its last segment's.
+    """
 
 
 class PrecisionExhausted(MomentZetaError):

@@ -313,7 +313,7 @@ def run_trials(
         except Divergence:
             target, target_kind = None, "divergent"
         return _simulate("random-p", n, partial(_games_random_p, source), 2, trials, seed,
-                         target, target_kind, ms.tail.alpha <= 2.0)
+                         target, target_kind, ms.power_law.alpha <= 2.0)
     raise ValueError(f"mode must be 'fixed-p' or 'random-p', got {mode!r}")
 
 
@@ -341,4 +341,4 @@ def zeta_expectation_mc(
     except Divergence:
         target, target_kind = None, "divergent"
     return _simulate("zeta-mc", n, partial(_zeta_draws, dist), 1, trials, seed, target,
-                     target_kind, ms.tail.alpha * n <= 2.0)
+                     target_kind, ms.power_law.alpha * n <= 2.0)

@@ -65,9 +65,9 @@ def power_tail_sum(p: float, start: float) -> tuple[float, float]:
 
 def convergence_abscissa(ms: MomentSequence) -> float:
     """Smallest s0 with sum m_k^s finite for all s > s0; equals 1/alpha."""
-    if ms.tail is None:
-        raise TailUnavailable("sequence has no tail model")
-    return 1.0 / ms.tail.alpha
+    if ms.power_law is None:
+        raise TailUnavailable("sequence has no power-law form")
+    return 1.0 / ms.power_law.alpha
 
 
 def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
@@ -167,11 +167,11 @@ def moment_zeta(
     closes the rest (method "power-law-tail").  tail_bound exceeds tol when
     the cap stops the head or tol is below the rounding of the sum.
     """
-    if ms.tail is None:
-        raise TailUnavailable("moment_zeta needs a tail model to bound its truncation")
+    if ms.power_law is None:
+        raise TailUnavailable("moment_zeta needs a power-law form to bound its truncation")
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
-    alpha = ms.tail.alpha
+    alpha = ms.power_law.alpha
     s = float(s)
     if s * alpha <= 1.0:
         raise Divergence(

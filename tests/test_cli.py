@@ -203,14 +203,39 @@ def test_identity_grid(capsys):
         assert float(line.split(",")[-1]) <= 1e-6
 
 
-def test_moments_missing_edge_data_is_numeric_failure(tmp_path, capsys):
+def test_table_edge_comes_from_its_last_segment(tmp_path, capsys):
     table = tmp_path / "d.csv"
-    table.write_text("x,f\n0.0,1.0\n1.0,1.0\n")
-    code, _, err = run_cli(
-        capsys, "moments", "--dist", "tabulated", "--table", str(table)
-    )
+    table.write_text("x,f\n0,1.5\n1,0.5\n")
+    argv = ("moments", "--dist", "tabulated", "--table", str(table), "--k-max", "100")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "k,m_k,k_pow_alpha_m_k,tail_L"
+    assert {line.split(",")[-1] for line in lines[1:]} == {"0.5"}  # tail_L = f[-1]
+    # --c/--beta are an optional check: the right edge leaves the report as it is
+    assert run_cli(capsys, *argv, "--c", "0.5", "--beta", "0")[:2] == (0, out)
+    code, _, err = run_cli(capsys, *argv, "--c", "0.7", "--beta", "0")
     assert code == 1
-    assert "edge" in err
+    assert err.startswith("error:") and "edge data" in err
+    # one of the two alone would be ignored, so it is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--c", "0.5"])
+    assert exc.value.code == 2
+    # the alpha1 predictor reads c = f[-1] from the table
+    code, out, _ = run_cli(capsys, "sum", "--dist", "tabulated", "--table", str(table),
+                           "--kmin", "2", "--n", "100,1000", "--tol", "1", "--predict", "alpha1")
+    assert code == 0
+    for line in out.splitlines()[1:]:
+        n, prediction = (float(v) for v in line.split(",")[:3:2])
+        assert prediction == pytest.approx(0.5 * n * math.log(n), rel=1e-15)
+
+
+def test_short_table_row_is_numeric_failure(tmp_path, capsys):
+    table = tmp_path / "d.csv"
+    table.write_text("x,f\n0,1.5\n1\n")
+    code, out, err = run_cli(capsys, "moments", "--dist", "tabulated", "--table", str(table))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "d.csv, line 3" in err
 
 
 # a valid invocation of each subcommand, and the flags it does not read

@@ -8,21 +8,20 @@ from scipy import integrate
 from momzeta.dist_core import (
     BetaEdge,
     MomentSequence,
+    PowerLawForm,
     PowerMoments,
     TabulatedDensity,
-    TailModel,
     Uniform,
     load_tabulated_csv,
     moment_quadrature,
     moment_sequence,
-    tail_model,
 )
-from momzeta.errors import InvalidTail, MissingEdgeData, QuadratureFailure
+from momzeta.errors import InvalidTail, QuadratureFailure, TailUnavailable
 
 
 def perturbed_linear(c=0.5):
     # f(x) = (2 - c) - 2(1 - c) x, linear with f(1) = c and mass exactly 1
-    return TabulatedDensity([0.0, 1.0], [2.0 - c, c], edge=(c, 0.0))
+    return TabulatedDensity([0.0, 1.0], [2.0 - c, c])
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +120,29 @@ def test_tabulated_moments_match_full_row_sum(make):
         np.arange(1, 20_000), np.arange(0.97 * k_u, 1.05 * k_u).round(),
         np.arange((1 << 20) - 2048, (1 << 20) + 2048), np.geomspace(20_000, 1.6e7, 2000).round(),
     ]))
-    assert dist.moments(k).tobytes() == _full_row_sum(dist, k).tobytes()
+    got = dist.moments(k)
+    # below the underflow point every segment's row is summed, bit for bit
+    with np.errstate(divide="ignore"):
+        rows = (k + 1.0) * np.log(dist.x[-2]) > -1100.0 * np.log(2.0)
+    assert got[rows].tobytes() == _full_row_sum(dist, k[rows]).tobytes()
+    # past it the last segment's closed form is within 2 ulp of the exact moment,
+    # checked on 250 of those k spread from the first to the last
+    past = k[~rows]
+    past = past[np.unique(np.linspace(0, past.size - 1, 250).round().astype(np.int64))]
+    with mpmath.workdps(30):
+        exact = np.array([float(_table_moment(dist, int(j))) for j in past])
+    assert np.all(np.abs(dist.moments(past) - exact) <= 2.0 * np.spacing(exact))
+
+
+def test_tab21_moments_are_the_edge_pole_past_underflow():
+    # f[-1] = 0, so past the underflow point (k ~ 14,860) m_k = L/((k+1)(k+2))
+    # with L = f[-2]/(1 - x[-2]); A/(k+1) + B/(k+2) cancelled to 1.6e-9 here
+    dist = _tab21()
+    L = dist.f[-2] / (1.0 - dist.x[-2])
+    k = np.unique(np.geomspace(14_900, 1.6e7, 400).round())
+    with mpmath.workdps(30):
+        exact = np.array([float(mpmath.mpf(L) / ((int(j) + 1) * (int(j) + 2))) for j in k])
+    assert np.all(np.abs(dist.moments(k) - exact) <= 4.0 * np.spacing(exact))
 
 
 def test_moment_rejects_bad_order():
@@ -180,34 +201,47 @@ def test_tabulated_rejects_bad_mass():
 
 
 def test_tail_models():
-    tm = tail_model(Uniform())
-    assert (tm.L, tm.alpha) == pytest.approx((1.0, 1.0), rel=1e-12)
-    tm = tail_model(BetaEdge(beta=1.0, c=2.0))
-    assert (tm.L, tm.alpha) == pytest.approx((2.0, 2.0), rel=1e-12)
-    tm = tail_model(BetaEdge(beta=2.0, c=3.0))
+    pl = moment_sequence(Uniform()).power_law
+    assert (pl.L, pl.alpha) == pytest.approx((1.0, 1.0), rel=1e-12)
+    pl = moment_sequence(BetaEdge(beta=1.0, c=2.0)).power_law
+    assert (pl.L, pl.alpha) == pytest.approx((2.0, 2.0), rel=1e-12)
+    pl = moment_sequence(BetaEdge(beta=2.0, c=3.0)).power_law
     # Gamma(3) = 2, so L = 3 * 2
-    assert (tm.L, tm.alpha) == pytest.approx((6.0, 3.0), rel=1e-12)
+    assert (pl.L, pl.alpha) == pytest.approx((6.0, 3.0), rel=1e-12)
 
 
-def test_tail_model_requires_edge_data():
-    bare = TabulatedDensity([0.0, 1.0], [1.0, 1.0])
-    with pytest.raises(MissingEdgeData):
-        tail_model(bare)
+def test_table_edge_is_derived_from_its_last_segment():
+    # no edge= needed: (c, beta) is (L/Gamma(alpha), alpha - 1) of the form
+    tab2 = TabulatedDensity([0.0, 1.0], [1.5, 0.5])
+    assert tab2.edge_params() == (0.5, 0.0)
+    tab21 = _tab21()
+    assert tab21.edge_params() == (tab21.f[-2] / (1.0 - tab21.x[-2]), 1.0)
+    assert Uniform().edge_params() == (1.0, 0.0)
+    assert BetaEdge(beta=2.5).edge_params() == (3.5, 2.5)
+    # a zero last segment decays faster than any power: no form, no edge
+    flat_end = TabulatedDensity([0.0, 0.5, 0.75, 1.0], [2.0, 2.0, 0.0, 0.0], normalize=True)
+    with pytest.raises(TailUnavailable):
+        flat_end.edge_params()
+    with pytest.raises(TailUnavailable):
+        moment_sequence(flat_end)
 
 
 def test_tail_law_at_ten_thousand():
     j = 10_000
     for dist in (Uniform(), BetaEdge(beta=1.0), BetaEdge(beta=2.0)):
-        tm = tail_model(dist)
-        scaled = j**tm.alpha * dist.moments([j])[0]
-        assert abs(scaled - tm.L) <= 0.01 * tm.L
+        pl = moment_sequence(dist).power_law
+        scaled = j**pl.alpha * dist.moments([j])[0]
+        assert abs(scaled - pl.L) <= 0.01 * pl.L
 
 
 def test_tail_model_validation():
+    # the tail model is the PowerLawForm
     with pytest.raises(ValueError):
-        TailModel(L=0.0, alpha=1.0)
+        PowerLawForm(L=0.0, alpha=1.0)
     with pytest.raises(ValueError):
-        TailModel(L=1.0, alpha=-1.0)
+        PowerLawForm(L=1.0, alpha=-1.0)
+    with pytest.raises(ValueError):
+        PowerLawForm(L=math.inf, alpha=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +405,7 @@ def test_moment_sequence_metadata():
     assert ms.power_law is not None and ms.power_law.shift == 1.0
     ms = moment_sequence(PowerMoments(3.0))
     assert ms.provenance == "abstract"
-    assert ms.tail.alpha == 3.0 and ms.tail.L == 1.0
+    assert ms.power_law.alpha == 3.0 and ms.power_law.L == 1.0
 
 
 def test_abstract_sequence_rejects_bad_exponent():
@@ -461,8 +495,8 @@ def test_table_edge_must_be_last_segment():
 
 
 def test_custom_sequence_without_tail_is_allowed():
-    ms = MomentSequence(lambda j: 1.0 / np.asarray(j, dtype=float), tail=None)
-    assert ms.tail is None
+    ms = MomentSequence(lambda j: 1.0 / np.asarray(j, dtype=float), None)
+    assert ms.power_law is None
     assert ms.moment(4) == 0.25
 
 
@@ -477,11 +511,23 @@ def test_csv_roundtrip(tmp_path):
     assert dist.moments([1])[0] == pytest.approx(
         0.5 / 2.0 + 2.0 * 0.5 / (2.0 * 3.0), rel=1e-13
     )
-    assert tail_model(dist).L == pytest.approx(0.5, rel=1e-12)
+    assert moment_sequence(dist).power_law.L == pytest.approx(0.5, rel=1e-12)
 
 
 def test_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n0,1\n1,1\n")
     with pytest.raises(ValueError):
+        load_tabulated_csv(str(path))
+
+
+@pytest.mark.parametrize("body, line", [
+    ("x,f\n0.0,1.5\n1.0\n", 3),
+    ("x,f\n0.0\n1.0,0.5\n", 2),
+    ("x,f\n0.0,1.5\n\n1.0,half\n", 4),
+], ids=["short-last-row", "short-first-row", "not-a-number"])
+def test_csv_rejects_bad_row(tmp_path, body, line):
+    path = tmp_path / "short.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError, match=f"short.csv, line {line}:"):
         load_tabulated_csv(str(path))

@@ -10,7 +10,7 @@ import pytest
 from momzeta.binom_sums import alt_sum_stable, predict
 from momzeta.dist_core import BetaEdge, TabulatedDensity, Uniform, moment_sequence
 from momzeta import game_sim
-from momzeta.errors import Divergence, MissingEdgeData, TooManySets
+from momzeta.errors import Divergence, InvalidTail, TailUnavailable, TooManySets
 from momzeta.game_sim import (
     TRIAL_BLOCK,
     GameParams,
@@ -264,8 +264,13 @@ def test_missing_edge_data_raises_before_any_trial(monkeypatch, sampler, run):
         raise AssertionError("a trial ran before the target was computed")
 
     monkeypatch.setattr(game_sim, sampler, fail)
-    edgeless = TabulatedDensity(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
-    with pytest.raises(MissingEdgeData):
+    # the last segment of f = 1 has edge (1, 0), not the (2, 0) claimed
+    wrong = TabulatedDensity(np.array([0.0, 1.0]), np.array([1.0, 1.0]), edge=(2.0, 0.0))
+    with pytest.raises(InvalidTail):
+        run(wrong, trials=10_000, seed=1)
+    # a zero last segment has no edge (c, beta) and no power-law form at all
+    edgeless = TabulatedDensity([0.0, 0.5, 0.75, 1.0], [2.0, 2.0, 0.0, 0.0], normalize=True)
+    with pytest.raises(TailUnavailable):
         run(edgeless, trials=10_000, seed=1)
 
 
@@ -429,9 +434,9 @@ def _reference_report(mode, source, trials, seed, n=None):
         except Divergence:
             target, kind = None, "divergent"
         if mode == "random-p":
-            draw, heavy = _ref_random_p, ms.tail.alpha <= 2.0
+            draw, heavy = _ref_random_p, ms.power_law.alpha <= 2.0
         else:
-            draw, heavy = _ref_zeta, ms.tail.alpha * n <= 2.0
+            draw, heavy = _ref_zeta, ms.power_law.alpha * n <= 2.0
     total = total_sq = 0.0
     for b0 in range(0, trials, TRIAL_BLOCK):
         m = min(TRIAL_BLOCK, trials - b0)

@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from momzeta.binom_sums import alt_sum_stable
 from momzeta.dist_core import (
     BetaEdge,
     MomentSequence,
@@ -111,15 +112,19 @@ def test_generic_path_meets_tolerance():
 
 
 def test_edge_sequence_without_form_is_tail_unavailable():
-    # a tail model alone no longer closes a sum: the engine needs a form
+    # the moments alone close no sum: every engine needs the power-law form
     ms = moment_sequence(BetaEdge(beta=1.0))
-    bare = MomentSequence(ms.moments, tail=ms.tail)
+    bare = MomentSequence(ms.moments, None)
     with pytest.raises(TailUnavailable):
         moment_zeta(bare, 2.0)
+    with pytest.raises(TailUnavailable):
+        alt_sum_stable(bare, 10)
+    with pytest.raises(TailUnavailable):
+        convergence_abscissa(bare)
 
 
 def test_tail_unavailable():
-    ms = MomentSequence(lambda j: 1.0 / np.asarray(j, dtype=float), tail=None)
+    ms = MomentSequence(lambda j: 1.0 / np.asarray(j, dtype=float), None)
     with pytest.raises(TailUnavailable):
         moment_zeta(ms, 2.0)
     with pytest.raises(TailUnavailable):
