@@ -40,6 +40,15 @@ from .moment_zeta import moment_zeta as _moment_zeta_sum
 
 SCHEMA_VERSION = 1
 _DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
+# the distribution flags each --dist family reads, and those a sum --predict
+# kind reads on top; any other flag given is a usage error, as is every one
+# of them beside game simulate --p
+_FAMILY_READS = {
+    "uniform": (), "beta": ("beta", "c"), "tabulated": ("table", "c", "beta"),
+    "riemann": (), "riemann-scaled": ("s",),
+}
+_PREDICT_READS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann_scaled": ("s",)}
+_SOURCE_FLAGS = ("dist", "beta", "c", "table", "s", "n_sets")
 # --dist -> zeta source of the naive oracle, called with --s
 _NAIVE_SOURCES = {
     "riemann": lambda s: binom_sums.riemann_zeta_source(),
@@ -146,10 +155,21 @@ def _dist_config(args) -> dict:
     }
 
 
+def _reject_unread(args, parser: argparse.ArgumentParser, what: str, reads: Sequence[str]) -> None:
+    given = [f"--{f.replace('_', '-')}" for f in _SOURCE_FLAGS
+             if f not in reads and getattr(args, f, None) is not None]
+    if given:
+        parser.error(f"{what} takes no {', '.join(given)}")
+
+
 def _build_source(args, parser: argparse.ArgumentParser):
     """EdgeDistribution or PowerMoments from CLI flags."""
     if args.dist is None:
         parser.error("--dist is required")
+    predict = getattr(args, "predict", None)  # sum's alone
+    what = f"--dist {args.dist}" + (f" --predict {predict}" if predict else "")
+    _reject_unread(args, parser, what,
+                   ("dist", "n_sets", *_FAMILY_READS[args.dist], *_PREDICT_READS.get(predict, ())))
     if args.dist == "uniform":
         return Uniform()
     if args.dist == "beta":
@@ -311,10 +331,7 @@ def _cmd_game_simulate(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     if args.p is not None:
-        random_p = ("dist", "beta", "c", "table", "s", "n_sets")
-        given = [f"--{f.replace('_', '-')}" for f in random_p if getattr(args, f) is not None]
-        if given:
-            parser.error(f"game simulate --p takes no random-p flags, got {', '.join(given)}")
+        _reject_unread(args, parser, "game simulate --p", ())
         params = GameParams(_parse_list(args.p, parser, "--p"))
         report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed)
         config = {"command": "game-simulate", "mode": "fixed-p", "p": list(params.p),

@@ -149,7 +149,8 @@ class BetaEdge(EdgeDistribution):
     """Density f(x) = c (1-x)^beta on [0, 1] with c = beta + 1.
 
     The coefficient may be passed explicitly for readability, but total mass
-    c/(beta+1) must equal 1, so any c other than beta+1 is rejected.
+    c/(beta+1) must equal 1, so a c more than 1e-12 from beta+1 is rejected,
+    and one within it is stored as beta+1 exactly.
     """
 
     beta: float
@@ -159,13 +160,12 @@ class BetaEdge(EdgeDistribution):
     def __post_init__(self) -> None:
         if not (self.beta >= 0.0):
             raise ValueError(f"edge exponent beta must be >= 0, got {self.beta}")
-        c = self.beta + 1.0 if self.c is None else float(self.c)
-        if abs(c - (self.beta + 1.0)) > 1e-12:
+        if self.c is not None and not abs(float(self.c) - (self.beta + 1.0)) <= 1e-12:
             raise ValueError(
-                f"density c(1-x)^beta has mass c/(beta+1); c={c} with beta={self.beta} "
+                f"density c(1-x)^beta has mass c/(beta+1); c={self.c} with beta={self.beta} "
                 "does not normalize to 1"
             )
-        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "c", self.beta + 1.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -188,7 +188,7 @@ class BetaEdge(EdgeDistribution):
     def moments(self, k) -> np.ndarray:
         k = np.asarray(k, dtype=np.float64)
         n = self.beta + 1.0
-        if n.is_integer() and n <= _INT_BETA_MAX + 1 and self.c == n:
+        if n.is_integer() and n <= _INT_BETA_MAX + 1:
             # m_k = prod_{i=1}^{beta+1} i/(k+i), the factors taken in pairs:
             # (k+i)(k+i+1) is exact below k ~ 9e7, so a pair costs one
             # rounding, and every pair is <= 1, so the product cannot overflow.

@@ -20,14 +20,14 @@ to adaptive quadrature otherwise.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .moment_zeta import blocked_sum, higham_gamma
+
 __all__ = ["DefectResult", "defect_direct", "defect_dnform"]
 
-_CHUNK = 1 << 16
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
 
@@ -77,12 +77,8 @@ def defect_direct(n: int, big_n: int) -> float:
         raise ValueError(f"need n >= 0 and N >= 2, got n={n}, N={big_n}")
     if n == 0:
         return 1.0
-    s_val = 0.0
-    for lo in range(1, big_n + 1, 1 << 20):
-        hi = min(big_n, lo + (1 << 20) - 1)
-        j = np.arange(lo, hi + 1, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            s_val += float(np.sum(np.exp(n * np.log1p(-1.0 / j))))
+    with np.errstate(divide="ignore"):
+        s_val, _ = blocked_sum(lambda j: np.exp(n * np.log1p(-1.0 / j)), big_n)
     if big_n >= 4 * n:
         i_val = _integral_closed_form(n, big_n)
     else:
@@ -107,8 +103,10 @@ def defect_dnform(n: int, tol: float = 1e-12) -> DefectResult:
     """D_n from the sawtooth integral, certified to ~tol.
 
     The integral over [1, J+1) is summed interval by interval with a 24-point
-    Gauss rule; the remainder over [J+1, inf) equals -g(J+1)/12 + g''(J+1)/720
-    up to a term bounded by n |g''(J+1)|/360, which is the reported bound.
+    Gauss rule through ``blocked_sum``; the remainder over [J+1, inf) equals
+    -g(J+1)/12 + g''(J+1)/720 up to a term bounded by n |g''(J+1)|/360.  The
+    reported bound is that term plus n times the head's rounding bound and
+    the rounding of the endpoint corrections and of the product by n.
     J >= 2n keeps g and its derivatives one-signed and decreasing on the tail.
     """
     if n < 1:
@@ -116,19 +114,23 @@ def defect_dnform(n: int, tol: float = 1e-12) -> DefectResult:
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     j_cut = max(64, 2 * n, math.ceil((n / (60.0 * tol)) ** 0.25))
-    total = 0.0
-    for lo in range(1, j_cut + 1, _CHUNK):
-        hi = min(j_cut, lo + _CHUNK - 1)
-        j = np.arange(lo, hi + 1, dtype=np.float64)[:, None]
-        x = j + 0.5 + 0.5 * _GAUSS_NODES[None, :]
-        saw = (x - j) - 0.5
+
+    def interval_terms(j: np.ndarray) -> np.ndarray:
+        x = j[:, None] + 0.5 + 0.5 * _GAUSS_NODES[None, :]
+        saw = (x - j[:, None]) - 0.5
         with np.errstate(divide="ignore"):
             gx = np.exp((n - 1) * np.log1p(-1.0 / x)) / (x * x)
-        total += float(np.sum(0.5 * _GAUSS_WEIGHTS[None, :] * saw * gx))
+        return 0.5 * _GAUSS_WEIGHTS[None, :] * saw * gx
+
+    head, rounding = blocked_sum(interval_terms, j_cut, 1 << 16)
     g_cut, gpp_cut = _g_and_second_derivative(float(j_cut + 1), n)
-    total += -g_cut / 12.0 + gpp_cut / 720.0
-    bound = n * abs(gpp_cut) / 360.0 + 4.0 * sys.float_info.epsilon
+    corr = -g_cut / 12.0 + gpp_cut / 720.0
+    total = head + corr
     deviation = n * total
+    # g(J+1)/12 and g''(J+1)/720 take at most 30 roundings each, free of
+    # cancellation past J >= 2n, and the two adds and the product by n one more apiece
+    closing = higham_gamma(32) * (abs(head) + abs(g_cut) / 12.0 + abs(gpp_cut) / 720.0)
+    bound = n * (abs(gpp_cut) / 360.0 + rounding + closing)
     return DefectResult(
         n=n, d_value=0.5 + deviation, tail_bound=bound, method="dnform", deviation=deviation
     )

@@ -15,9 +15,10 @@ Two exact oracles cross-check each other:
 Both equal E[T] - 1 (the k = 0 term of E[T] = sum_{k>=0} P(T > k) is always
 1 and is not part of the series); ``expected_rounds`` adds it back and is
 what simulations measure.  The series stops at the first K whose union
-bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol, found by bisection on
-k, and the terms are summed in numpy blocks of k, so p_max near 1 costs
-milliseconds, not a Python loop over k.
+bound sum_i p_i^(K+1)/(1 - p_i) on the tail is <= tol/2, found by bisection
+on k, and ``moment_zeta.blocked_sum`` sums the terms in numpy blocks of k,
+so p_max near 1 costs milliseconds, not a Python loop over k; its rounding
+bound, about 1/(1 - p_max) times 30 u, takes the other half of tol.
 
 Reproducibility: trials are processed in fixed blocks of 4096, block b
 drawing from numpy's default PCG64 generator seeded by
@@ -46,7 +47,7 @@ from numpy.random import Generator, SeedSequence
 from . import binom_sums
 from .dist_core import EdgeDistribution, moment_sequence
 from .errors import Divergence, TooManySets
-from .moment_zeta import SumResult, moment_zeta as _moment_zeta_sum
+from .moment_zeta import SumResult, blocked_sum, moment_zeta as _moment_zeta_sum
 
 __all__ = [
     "GameParams",
@@ -125,10 +126,12 @@ def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
     """sum_{k>=1} (1 - prod_i (1 - p_i^k)) with a geometric tail certificate.
 
     The tail past K is at most B(K) = sum_i p_i^(K+1)/(1 - p_i) by the union
-    bound, and K is the first k with B(k) <= tol, capped at 10,000,000 terms
-    (then tail_bound is B(cap) and exceeds tol).  B decreases in k, so K is
-    found by bisection on [1, cap], and tail_bound is B at the K returned.
-    The terms are summed over (k-block x n) arrays of about 2^16 elements.
+    bound, and K is the first k with B(k) <= tol/2, capped at 10,000,000
+    terms.  B decreases in k, so K is found by bisection on [1, cap].  The
+    terms are summed by ``blocked_sum`` over (k-block x n) arrays of about
+    2^16 elements, and tail_bound is B(K) plus its rounding bound.  It
+    exceeds tol at the cap, or when that rounding, which grows like
+    1/(1 - p_max), is above tol/2.
     """
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
@@ -140,20 +143,18 @@ def paper_T_series(params: GameParams, tol: float = 1e-12) -> SumResult:
         return SumResult(value=0.0, tail_bound=0.0, terms_used=1, method="series")
     logs = np.log(p[live])
     one_minus = 1.0 - p[live]
-    rows = max(1, _SERIES_BLOCK // logs.size)
 
     def bound(k: int) -> float:
         return float(np.sum(np.exp((k + 1.0) * logs) / one_minus))
 
-    K = 1 + bisect.bisect_left(range(1, _SERIES_CAP), True, key=lambda k: bound(k) <= tol)
-    total = 0.0
-    for k0 in range(1, K + 1, rows):
-        ks = np.arange(k0, min(k0 + rows, K + 1), dtype=np.float64)
+    def terms(ks: np.ndarray) -> np.ndarray:
         # 1 - prod(1 - p_i^k) = 1 - win_prob_by(k), assembled in logs to keep
         # tiny terms honest
-        log_win = np.sum(np.log1p(-np.exp(ks[:, None] * logs)), axis=1)
-        total -= float(np.sum(np.expm1(log_win)))
-    return SumResult(value=total, tail_bound=bound(K), terms_used=K, method="series")
+        return -np.expm1(np.sum(np.log1p(-np.exp(ks[:, None] * logs)), axis=1))
+
+    K = 1 + bisect.bisect_left(range(1, _SERIES_CAP), True, key=lambda k: bound(k) <= tol / 2.0)
+    total, rounding = blocked_sum(terms, K, max(1, _SERIES_BLOCK // logs.size))
+    return SumResult(value=total, tail_bound=bound(K) + rounding, terms_used=K, method="series")
 
 
 def paper_T_inclusion_exclusion(params: GameParams) -> float:

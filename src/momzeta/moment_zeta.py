@@ -6,6 +6,9 @@ the head j <= J directly and closes the tail j > J order by order through
 the sequence's form L (j+shift)^(-alpha): each order by Euler-Maclaurin with
 a certified remainder, widened by the form's proven gap on |log(m_j/form)|.
 
+Every truncated series of the package sums its head through one routine,
+``blocked_sum``, which returns the head with a proven bound on its rounding.
+
 The Riemann zeta function itself is ``moment_zeta(riemann_sequence(), s)``.
 """
 
@@ -24,13 +27,16 @@ from .errors import Divergence, TailUnavailable
 
 __all__ = [
     "SumResult",
+    "blocked_sum",
     "convergence_abscissa",
+    "higham_gamma",
     "moment_zeta",
     "power_tail_sum",
 ]
 
 _EPS = sys.float_info.epsilon
-_CHUNK = 1 << 20
+_U = _EPS / 2.0  # the unit roundoff of round-to-nearest float64
+_ROWS = 1 << 20
 _HEAD_FLOOR = 1024
 _J_CAP = _GENERIC_CAP = _POWER_LAW_J_CAP = 1 << 22  # the old names stay importable
 _MAX_CORRECTION_ORDER = 60
@@ -63,6 +69,46 @@ def power_tail_sum(p: float, start: float) -> tuple[float, float]:
     return val, err
 
 
+def higham_gamma(k: int) -> float:
+    """gamma_k = k u/(1 - k u): k roundings, each within u, err by at most gamma_k relative."""
+    return k * _U / (1.0 - k * _U)
+
+
+def _pairwise_roundings(m: int) -> int:
+    """The most roundings on any summand's path in numpy's pairwise sum of m float64s.
+
+    A leaf of at most 128 summands runs 8 accumulators, a three-level tree
+    and the m mod 8 rest one by one: at most 24 roundings (m = 127).  Larger
+    sums halve at a multiple of 8, one rounding a level.
+    """
+    return 24 + max(0, (m - 1).bit_length() - 7)
+
+
+def blocked_sum(block: Callable[[np.ndarray], np.ndarray], last: int,
+                rows: int = _ROWS) -> tuple[float, float]:
+    """(value, rounding): the sum of block(j) over j = 1..last, ``rows`` indices a call.
+
+    block maps a float64 array of consecutive indices to a fresh, contiguous
+    array of summands, which is overwritten once summed.  Each block goes through one np.sum, which numpy
+    computes pairwise, and the block sums are added in order into a Python
+    float.  A summand thus meets at most D = _pairwise_roundings(m) + blocks - 1
+    roundings, m the largest block's size, so |value - exact sum| <= gamma_D A
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., sec.
+    4.2), A the sum of the |summands|.  A is summed the same way, so
+    rounding = gamma_D A/(1 - gamma_D) with A as computed.
+    """
+    total = abs_total = 0.0
+    m = blocks = 0
+    for lo in range(1, last + 1, rows):
+        t = block(np.arange(lo, min(last, lo + rows - 1) + 1, dtype=np.float64))
+        total += float(np.sum(t))
+        abs_total += float(np.sum(np.abs(t, out=t)))
+        m = max(m, t.size)
+        blocks += 1
+    g = higham_gamma(_pairwise_roundings(m) + blocks - 1)
+    return total, g * abs_total / (1.0 - g)
+
+
 def convergence_abscissa(ms: MomentSequence) -> float:
     """Smallest s0 with sum m_k^s finite for all s > s0; equals 1/alpha."""
     if ms.power_law is None:
@@ -80,10 +126,12 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
     order, with exact integer weights.  ``n`` is the binomial exponent of an
     alternating sum (0 for Z(s)); it sizes the head and the rounding term.
 
-    The head j <= J is summed directly, the tail order by order through the
-    sequence's form m~_j = L (j+shift)^(-alpha) (else TailUnavailable):
-    order k adds w_k sum_{j>J} m~_j^k by Euler-Maclaurin, and its tail sum
-    times expm1(k gap(J)) |w_k| to the bound.  The sweep stops at the first
+    The head j <= J is summed by ``blocked_sum``, whose rounding bound joins
+    the tail_bound with 8 eps n for the terms' own evaluation.  The tail goes
+    order by order through the sequence's form m~_j = L (j+shift)^(-alpha)
+    (else TailUnavailable): order k adds w_k sum_{j>J} m~_j^k by
+    Euler-Maclaurin, and its tail sum times expm1(k gap(J)) |w_k| and the
+    rounding of its exp and its add to the bound.  The sweep stops at the first
     Bonferroni envelope, times exp(k gap(J)), below tol/20, or past order
     60.  J is ``terms``, else the largest of 1024, (8 n max(L, 1))^(1/alpha)
     (n m_J below 1/8, where the orders shrink fast) and the first J whose
@@ -111,13 +159,14 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
         if first_gap_term(J) > tol / 4.0:
             J += bisect.bisect_left(range(J, _J_CAP), True,
                                     key=lambda h: first_gap_term(h) <= tol / 4.0)
-    total = 0.0
-    abs_acc = 0.0
-    for lo in range(1, J + 1, _CHUNK):
-        t = term(ms.moments(np.arange(lo, min(J, lo + _CHUNK - 1) + 1, dtype=np.float64)))
-        total += float(np.sum(t))
-        abs_acc += float(np.sum(np.abs(t)))
-    rounding = 8.0 * _EPS * (abs_acc + n)
+    def head(j: np.ndarray) -> np.ndarray:
+        m = ms.moments(j)
+        del j  # the indices go before the terms are built: one array fewer alive
+        return term(m)
+
+    total, rounding = blocked_sum(head, J)
+    # evaluating a term errs by a few eps times n m_j (1-m_j)^n, whose sum over j is about n
+    rounding += 8.0 * _EPS * n
     g = pl.gap(J)
     if not g < 1.0:  # the form bounds nothing past so short a head
         return SumResult(value=total, tail_bound=math.inf, terms_used=J, method="power-law-tail")
@@ -144,8 +193,9 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
             corr = math.exp(log_w + log_t)
             total += math.copysign(corr, w)
             # exp turns the absolute rounding of its argument, a few eps
-            # times the magnitudes summed into it, into relative error
-            corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0)
+            # times the magnitudes summed into it, into relative error; the
+            # add itself errs by at most eps/2 of the running total
+            corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0) + 0.5 * abs(total)
         if terr > 0.0:
             tail_err += math.exp(log_w + math.log(terr))
         if g > 0.0 and t + terr > 0.0:  # |m_j^k / m~_j^k - 1| <= expm1(k g) past J

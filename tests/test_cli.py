@@ -137,11 +137,11 @@ def test_sum_json_row_keys(capsys):
          "warning: sum n=100000: tail_bound 1.63e+04 exceeds tol 25"),
         # a tol under the rounding of a sum near 1.6
         (("zeta", "--dist", "riemann", "--s-eval", "2", "--tol", "1e-15"),
-         "warning: zeta: tail_bound 2.92e-15 exceeds tol 1e-15"),
+         "warning: zeta: tail_bound 5.11e-15 exceeds tol 1e-15"),
         # just above the abscissa 1/2 the head stops at its 2^22 cap, where
         # the gap of the beta-edge form still weighs on a tail near 7e6
         (("zeta", "--dist", "beta", "--beta", "1", "--s-eval", "0.5000001", "--tol", "1e-12"),
-         "warning: zeta: tail_bound 8.13e-08 exceeds tol 1e-12"),
+         "warning: zeta: tail_bound 8.21e-08 exceeds tol 1e-12"),
     ],
     ids=["game-exact-cap", "sum-power-law-cap", "zeta-rounding", "zeta-generic-cap"],
 )
@@ -277,6 +277,39 @@ def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
         main(["game", "simulate", "--p", "0.5", "--trials", "10", flag, value])
     assert exc.value.code == 2
     assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["moments", "--dist", "uniform", "--c", "5", "--beta", "3"], "--beta, --c"),
+    (["zeta", "--dist", "riemann", "--s", "3", "--s-eval", "2"], "--s"),
+    (["zeta", "--dist", "beta", "--beta", "1", "--table", "d.csv", "--s-eval", "2"], "--table"),
+    (["zeta", "--dist", "riemann-scaled", "--s", "2", "--c", "1", "--s-eval", "2"], "--c"),
+    (["sum", "--dist", "riemann", "--n", "10", "--c", "1"], "--c"),
+    (["sum", "--dist", "riemann", "--n", "10", "--predict", "alpha1", "--c", "1",
+      "--beta", "0"], "--beta"),
+    (["sum", "--dist", "uniform", "--n", "10", "--predict", "riemann", "--s", "2"], "--s"),
+    (["game", "simulate", "--dist", "uniform", "--n-sets", "3", "--s", "2"], "--s"),
+], ids=["moments-uniform", "zeta-riemann", "zeta-beta", "zeta-scaled", "sum", "sum-alpha1",
+        "sum-riemann", "simulate"])
+def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, unread):
+    # each --dist family reads its own parameters, sum adds its --predict kind's
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip().endswith(f"takes no {unread}")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sum", "--dist", "riemann", "--kmin", "2", "--n", "100", "--predict", "alpha1", "--c", "1"],
+    ["sum", "--dist", "riemann-scaled", "--s", "2", "--n", "100", "--predict", "mainisdef",
+     "--c", "2", "--beta", "1"],
+    ["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"],
+], ids=["alpha1-c", "mainisdef-c-beta", "beta-c"])
+def test_flags_the_command_reads_are_accepted(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and out and err == ""
 
 
 @pytest.mark.parametrize("argv", [

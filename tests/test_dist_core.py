@@ -191,6 +191,16 @@ def test_density_normalized(dist):
 def test_beta_edge_rejects_unnormalized_c():
     with pytest.raises(ValueError):
         BetaEdge(beta=1.0, c=3.0)
+    with pytest.raises(ValueError):
+        BetaEdge(beta=1.0, c=math.nan)
+
+
+def test_beta_edge_stores_c_as_beta_plus_one():
+    # a c within the normalisation slack must not leave the exact rational moments
+    dist = BetaEdge(beta=1, c=2.0 + 1e-13)
+    assert dist.c == 2.0
+    k = np.array([1.0, 7.0, 1e4, 1.6e7])
+    assert dist.moments(k).tobytes() == BetaEdge(1).moments(k).tobytes()
 
 
 def test_tabulated_rejects_bad_mass():

@@ -1,9 +1,11 @@
 import functools
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict, dataclass
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from momzeta.game_sim import (
     win_prob_by,
     zeta_expectation_mc,
 )
-from momzeta.moment_zeta import moment_zeta
+from momzeta.moment_zeta import _pairwise_roundings, higham_gamma, moment_zeta
 
 ZETA3 = 1.2020569031595942854
 
@@ -106,7 +108,8 @@ def test_oracles_agree_near_one(p_max, seed, tol):
     params = GameParams([p_max, *rng.uniform(0.0, p_max, size=n - 1)])
     res = paper_T_series(params, tol=tol)
     assert abs(res.value - paper_T_inclusion_exclusion(params)) <= 1e-9
-    assert res.terms_used == _first_k_within(params.p, tol)
+    # the union bound takes half of tol, the rounding of the head the other
+    assert res.terms_used == _first_k_within(params.p, tol / 2.0)
 
 
 def _union_bound(p, k):
@@ -118,8 +121,39 @@ def test_series_length_is_first_k_within_tol_near_one(p_max, tol):
     # K is in the hundreds of thousands to millions here, past a per-k loop
     p = [p_max, 0.5, 0.0, 0.99 * p_max]
     res = paper_T_series(GameParams(p), tol=tol)
-    assert _union_bound(p, res.terms_used) <= tol < _union_bound(p, res.terms_used - 1)
-    assert res.tail_bound == pytest.approx(_union_bound(p, res.terms_used), rel=1e-9)
+    K = res.terms_used
+    assert _union_bound(p, K) <= tol / 2.0 < _union_bound(p, K - 1)
+    # the terms are positive, so the sum of their magnitudes is the value;
+    # three live sets sum 2^16 // 3 values of k to a block
+    rows = 2**16 // 3
+    g = higham_gamma(_pairwise_roundings(rows) + math.ceil(K / rows) - 1)
+    assert res.tail_bound == pytest.approx(_union_bound(p, K) + g * res.value / (1.0 - g), rel=1e-9)
+
+
+def _subset_expansion(p):
+    """E[T] - 1 = sum over nonempty subsets of (-1)^(|S|-1) p_S/(1 - p_S), at 40 digits."""
+    with mpmath.workdps(40):
+        total = mpmath.mpf(0)
+        for r in range(1, len(p) + 1):
+            for subset in itertools.combinations([mpmath.mpf(v) for v in p], r):
+                q = mpmath.fprod(subset)
+                total += (-1) ** (r - 1) * q / (1 - q)
+        return total
+
+
+@pytest.mark.parametrize("p_max, count, n_max", [
+    (0.9, 25, 9), (0.99, 25, 9), (0.999, 25, 9), (0.9999, 25, 9),
+    # about 4e6 terms an instance: fewer and smaller instances
+    (0.99999, 10, 6),
+])
+def test_series_error_within_its_bound(p_max, count, n_max):
+    # the union bound alone is nearly the true tail when one p_i dominates,
+    # so without the head's rounding the error overshot it (up to 94x)
+    rng = np.random.default_rng(round(-math.log10(1.0 - p_max)))
+    for _ in range(count):
+        p = [p_max, *rng.uniform(0.0, p_max, size=int(rng.integers(1, n_max)))]
+        res = paper_T_series(GameParams(p), tol=1e-12)
+        assert abs(mpmath.mpf(res.value) - _subset_expansion(p)) <= res.tail_bound, p
 
 
 def test_series_stops_at_cap():

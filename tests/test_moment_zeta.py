@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -14,7 +15,12 @@ from momzeta.dist_core import (
     riemann_sequence,
 )
 from momzeta.errors import Divergence, TailUnavailable
-from momzeta.moment_zeta import convergence_abscissa, moment_zeta
+from momzeta.moment_zeta import (
+    _pairwise_roundings,
+    blocked_sum,
+    convergence_abscissa,
+    moment_zeta,
+)
 
 # mpmath at 30 digits
 ZETA2 = 1.6449340668482264365
@@ -142,3 +148,84 @@ def test_divergence_at_abscissa():
 def test_tol_validation():
     with pytest.raises(ValueError):
         moment_zeta(moment_sequence(Uniform()), 2.0, tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# blocked_sum and its rounding bound
+# ---------------------------------------------------------------------------
+
+def _pairwise_sum(a: list, lo: int, n: int) -> float:
+    """numpy's pairwise_sum for float64 over a[lo:lo+n], step by step.
+
+    Below 8 summands one running sum; up to 128, eight accumulators, a
+    three-level tree and the n mod 8 rest one by one; above, two halves cut
+    at a multiple of 8.
+    """
+    if n < 8:
+        res = 0.0
+        for i in range(lo, lo + n):
+            res += a[i]
+        return res
+    if n <= 128:
+        r = a[lo:lo + 8]
+        for i in range(lo + 8, lo + n - n % 8, 8):
+            r = [r[j] + a[i + j] for j in range(8)]
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(lo + n - n % 8, lo + n):
+            res += a[i]
+        return res
+    n2 = n // 2 - (n // 2) % 8
+    return _pairwise_sum(a, lo, n2) + _pairwise_sum(a, lo + n2, n - n2)
+
+
+@functools.lru_cache(maxsize=None)
+def _pairwise_depth(n: int) -> int:
+    """The most roundings on any summand's path in _pairwise_sum over n summands."""
+    if n < 8:
+        return max(n - 1, 0)  # the first add, to 0.0, is exact
+    if n <= 128:
+        return n // 8 - 1 + 3 + n % 8
+    n2 = n // 2 - (n // 2) % 8
+    return 1 + max(_pairwise_depth(n2), _pairwise_depth(n - n2))
+
+
+@pytest.mark.parametrize("shape", [(5,), (100,), (127,), (131,), (1000,), (8193,), (1 << 17,),
+                                   (2020, 24), (3000, 7), (4096, 24)])
+def test_pairwise_model_is_numpy_sum(shape):
+    # pins numpy's summation scheme, on which the rounding bound rests
+    rng = np.random.default_rng(sum(shape))
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-20.0, 20.0, shape))
+    assert float(np.sum(x)) == _pairwise_sum(x.ravel().tolist(), 0, x.size)
+
+
+def test_pairwise_roundings_cover_the_model():
+    assert (_pairwise_depth(1024), _pairwise_depth(1 << 20)) == (21, 31)
+    for m in range(1, 1 << 16):
+        assert _pairwise_roundings(m) >= _pairwise_depth(m), m
+    rng = np.random.default_rng(23)
+    for m in rng.integers(1 << 16, 1 << 23, size=20_000).tolist():
+        assert _pairwise_roundings(m) >= _pairwise_depth(m), m
+
+
+@pytest.mark.parametrize("seed, size, rows, width", [
+    (1, 300_000, 1 << 20, 1), (2, 300_000, 1 << 16, 1), (3, 200_000, 1000, 1),
+    (4, 60_000, 4096, 5),
+])
+def test_blocked_sum_within_its_rounding_of_fsum(seed, size, rows, width):
+    # pairs x, -x(1 + tiny): the exact sum is ~1e-12 of the sum of magnitudes
+    rng = np.random.default_rng(seed)
+    half = rng.standard_normal((size // 2, width)) * np.exp(rng.uniform(-30.0, 30.0, (size // 2, 1)))
+    data = np.concatenate([half, -half * (1.0 + 1e-12 * rng.standard_normal(half.shape))])
+    data = data[rng.permutation(len(data))]
+
+    def block(j):
+        return data[j.astype(np.int64) - 1]
+
+    value, rounding = blocked_sum(block, len(data), rows)
+    # the in-order sum of the blocks' np.sum, bit for bit
+    expected = 0.0
+    for lo in range(0, len(data), rows):
+        expected += float(np.sum(data[lo:lo + rows]))
+    assert value == expected
+    assert 0.0 < abs(value - math.fsum(data.ravel().tolist())) <= rounding
+    assert rounding <= 1e-12 * np.sum(np.abs(data))
