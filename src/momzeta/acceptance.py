@@ -113,7 +113,7 @@ def criterion_3(seed: int = 42) -> CriterionResult:
 def criterion_4(seed: int = 42) -> CriterionResult:
     """Edge-density growth law: -A(n;1) ~ sqrt(2 pi n) for f = 2(1-x)."""
     n = 10_000
-    ms = moment_sequence(BetaEdge(beta=1.0, c=2.0))
+    ms = moment_sequence(BetaEdge(beta=1.0))
     value = binom_sums.alt_sum_stable(ms, n, kmin=1, tol=0.05).value
     target = math.sqrt(2.0 * math.pi * n)
     ratio = -value / target

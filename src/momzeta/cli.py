@@ -44,7 +44,7 @@ _DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
 # kind reads on top; any other flag given is a usage error, as is every one
 # of them beside game simulate --p
 _FAMILY_READS = {
-    "uniform": (), "beta": ("beta", "c"), "tabulated": ("table", "c", "beta"),
+    "uniform": (), "beta": ("beta",), "tabulated": ("table",),
     "riemann": (), "riemann-scaled": ("s",),
 }
 _PREDICT_READS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann_scaled": ("s",)}
@@ -140,7 +140,7 @@ def _warn_if_missed(what: str, tail_bound: float, tol: float) -> None:
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", choices=_DIST_CHOICES, help="distribution / sequence family")
     p.add_argument("--beta", type=float, help="edge exponent of the density at x=1")
-    p.add_argument("--c", type=float, help="edge coefficient of the density at x=1")
+    p.add_argument("--c", type=float, help="edge coefficient for sum --predict mainisdef/alpha1")
     p.add_argument("--table", help="CSV file with header x,f for --dist tabulated")
     p.add_argument("--s", type=float, help="exponent of the abstract sequence j^(-s)")
 
@@ -175,14 +175,11 @@ def _build_source(args, parser: argparse.ArgumentParser):
     if args.dist == "beta":
         if args.beta is None:
             parser.error("--dist beta needs --beta")
-        return BetaEdge(beta=args.beta, c=args.c)
+        return BetaEdge(beta=args.beta)
     if args.dist == "tabulated":
         if args.table is None:
             parser.error("--dist tabulated needs --table")
-        if (args.c is None) != (args.beta is None):
-            parser.error("--dist tabulated checks --c and --beta together; pass both or neither")
-        edge = None if args.c is None else (args.c, args.beta)
-        return load_tabulated_csv(args.table, edge=edge)
+        return load_tabulated_csv(args.table)
     if args.dist == "riemann":
         return PowerMoments(1.0)
     # riemann-scaled

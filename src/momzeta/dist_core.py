@@ -71,8 +71,8 @@ class PowerLawForm:
     def __post_init__(self) -> None:
         if not (0.0 < self.L < math.inf):
             raise ValueError(f"tail constant L must be positive and finite, got {self.L}")
-        if not (self.alpha > 0.0):
-            raise ValueError(f"decay exponent alpha must be positive, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf):
+            raise ValueError(f"decay exponent alpha must be positive and finite, got {self.alpha}")
 
 
 def _beta_gap(beta: float) -> Callable[[float], float]:
@@ -146,25 +146,19 @@ class Uniform(EdgeDistribution):
 
 @dataclass(frozen=True)
 class BetaEdge(EdgeDistribution):
-    """Density f(x) = c (1-x)^beta on [0, 1] with c = beta + 1.
+    """Density f(x) = c (1-x)^beta on [0, 1], beta >= 0.
 
-    The coefficient may be passed explicitly for readability, but total mass
-    c/(beta+1) must equal 1, so a c more than 1e-12 from beta+1 is rejected,
-    and one within it is stored as beta+1 exactly.
+    Mass 1 fixes c = beta + 1, so c is derived, never passed: the attribute
+    holds beta + 1 exactly, and (c, beta) is the edge of the power-law form.
     """
 
     beta: float
-    c: float | None = None
+    c: float = field(init=False)
     family: str = field(default="beta-edge", init=False)
 
     def __post_init__(self) -> None:
         if not (self.beta >= 0.0):
             raise ValueError(f"edge exponent beta must be >= 0, got {self.beta}")
-        if self.c is not None and not abs(float(self.c) - (self.beta + 1.0)) <= 1e-12:
-            raise ValueError(
-                f"density c(1-x)^beta has mass c/(beta+1); c={self.c} with beta={self.beta} "
-                "does not normalize to 1"
-            )
         object.__setattr__(self, "c", self.beta + 1.0)
 
     def pdf(self, x):
@@ -413,8 +407,8 @@ class PowerMoments:
     s: float
 
     def __post_init__(self) -> None:
-        if not (self.s > 0.0):
-            raise ValueError(f"power moments need s > 0, got {self.s}")
+        if not (0.0 < self.s < math.inf):
+            raise ValueError(f"power moments need a finite s > 0, got {self.s}")
 
     def moments(self, j) -> np.ndarray:
         return np.asarray(j, dtype=np.float64) ** (-self.s)
@@ -510,12 +504,8 @@ def riemann_sequence() -> MomentSequence:
     return moment_sequence(PowerMoments(1.0))
 
 
-def load_tabulated_csv(
-    path: str,
-    edge: tuple[float, float] | None = None,
-    normalize: bool = False,
-) -> TabulatedDensity:
-    """Load a density table from CSV with header ``x,f``."""
+def load_tabulated_csv(path: str, *, normalize: bool = False) -> TabulatedDensity:
+    """Load a density table from CSV with header ``x,f``; its edge comes from its last segment."""
     xs: list[float] = []
     fs: list[float] = []
     with open(path, newline="") as fh:
@@ -532,4 +522,4 @@ def load_tabulated_csv(
             except (IndexError, ValueError):
                 raise ValueError(f"{path}, line {reader.line_num}: expected two numbers x,f, "
                                  f"got {','.join(row)!r}") from None
-    return TabulatedDensity(xs, fs, edge=edge, normalize=normalize)
+    return TabulatedDensity(xs, fs, normalize=normalize)

@@ -126,10 +126,15 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
     order, with exact integer weights.  ``n`` is the binomial exponent of an
     alternating sum (0 for Z(s)); it sizes the head and the rounding term.
 
+    This is the one place that checks a certified sum's preconditions, in
+    this order: the sequence has a power-law form m~_j = L (j+shift)^(-alpha)
+    (else TailUnavailable), tol > 0 and the lowest power is a number (else
+    ValueError), and alpha powers[0] > 1, without which sum_j m_j^powers[0]
+    diverges (else Divergence).
+
     The head j <= J is summed by ``blocked_sum``, whose rounding bound joins
     the tail_bound with 8 eps n for the terms' own evaluation.  The tail goes
-    order by order through the sequence's form m~_j = L (j+shift)^(-alpha)
-    (else TailUnavailable): order k adds w_k sum_{j>J} m~_j^k by
+    order by order through the form: order k adds w_k sum_{j>J} m~_j^k by
     Euler-Maclaurin, and its tail sum times expm1(k gap(J)) |w_k| and the
     rounding of its exp and its add to the bound.  The sweep stops at the first
     Bonferroni envelope, times exp(k gap(J)), below tol/20, or past order
@@ -140,15 +145,32 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
     pl = ms.power_law
     if pl is None:
         raise TailUnavailable(f"{ms.provenance} sequence has no power-law form to close its tail")
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol}")
     k0, alpha, log_l = powers[0], pl.alpha, math.log(pl.L)
+    if math.isnan(k0):
+        raise ValueError("the exponent of the sum is NaN")
+    if not (alpha * k0 > 1.0):
+        raise Divergence(f"sum_j m_j^{k0:.6g} diverges: alpha = {alpha:.6g} times the power "
+                         f"{k0:.6g} must exceed 1")
 
-    def first_gap_term(J: int) -> float:
+    def order(k: float, J: int, g: float) -> tuple[float, float, int, float, float, float]:
+        """Order k of the tail past the head j <= J, whose form strays by at most g:
+        (t, terr, w_k, log(|w_k| L^k), log of its size |w_k| L^k (t + terr), gap term)."""
+        t, terr = power_tail_sum(alpha * k, J + 1.0 + pl.shift)
+        w = weight(k)
+        # the log of the exact integer weight: for C(n,k), an lgamma
+        # difference is off by ~log(n!) eps, which the order-2 correction
+        # (up to ~1e4) turns into an error above the bound at n >= 1e4
+        log_w = math.log(abs(w)) + k * log_l
+        log_size = log_w + math.log(t + terr) if t + terr > 0.0 else -math.inf
+        # |m_j^k / m~_j^k - 1| <= expm1(k g) past J
+        gap_term = math.expm1(k * g) * math.exp(log_size) if g > 0.0 else 0.0
+        return t, terr, w, log_w, log_size, gap_term
+
+    def fits(J: int) -> bool:  # the form bounds the tail past J, its first order within tol/4
         g = pl.gap(J)
-        if not 0.0 < g < 1.0:
-            return 0.0 if g == 0.0 else math.inf
-        t, terr = power_tail_sum(alpha * k0, J + 1.0 + pl.shift)
-        log_w = math.log(abs(weight(k0))) + k0 * log_l
-        return math.expm1(k0 * g) * math.exp(log_w + math.log(t + terr)) if t + terr > 0.0 else 0.0
+        return g == 0.0 or (g < 1.0 and order(k0, J, g)[5] <= tol / 4.0)
 
     if terms is not None:
         J = max(1, int(terms))
@@ -156,9 +178,8 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
         # the two roots taken apart, so L up to the float limit cannot overflow
         need = (8.0 * n) ** (1.0 / alpha) * max(pl.L, 1.0) ** (1.0 / alpha)
         J = min(max(_HEAD_FLOOR, math.ceil(need)), _J_CAP)
-        if first_gap_term(J) > tol / 4.0:
-            J += bisect.bisect_left(range(J, _J_CAP), True,
-                                    key=lambda h: first_gap_term(h) <= tol / 4.0)
+        if not fits(J):
+            J += bisect.bisect_left(range(J, _J_CAP), True, key=fits)
     def head(j: np.ndarray) -> np.ndarray:
         m = ms.moments(j)
         del j  # the indices go before the terms are built: one array fewer alive
@@ -173,19 +194,13 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
 
     tail_err = 0.0
     corr_rounding = 0.0
-    start = J + 1.0 + pl.shift
     for k in powers:
-        t, terr = power_tail_sum(alpha * k, start)
-        w = weight(k)
-        # the log of the exact integer weight: for C(n,k), an lgamma
-        # difference is off by ~log(n!) eps, which the order-2 correction
-        # (up to ~1e4) turns into an error above the bound at n >= 1e4
-        log_w = math.log(abs(w)) + k * log_l
+        t, terr, w, log_w, log_size, gap_term = order(k, J, g)
         if k > k0:
-            if t + terr <= 0.0:
+            if log_size == -math.inf:
                 remainder = 0.0
                 break
-            remainder = math.exp(log_w + math.log(t + terr) + k * g)
+            remainder = math.exp(log_size + k * g)
             if remainder < tol * 0.05 or k > _MAX_CORRECTION_ORDER:
                 break
         if t > 0.0:
@@ -198,8 +213,7 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
             corr_rounding += corr * (abs(log_w) + abs(log_t) + 4.0) + 0.5 * abs(total)
         if terr > 0.0:
             tail_err += math.exp(log_w + math.log(terr))
-        if g > 0.0 and t + terr > 0.0:  # |m_j^k / m~_j^k - 1| <= expm1(k g) past J
-            tail_err += math.expm1(k * g) * math.exp(log_w + math.log(t + terr))
+        tail_err += gap_term
     else:
         remainder = 0.0  # every order is in: the expansion is exact
     bound = remainder + tail_err + rounding + _EPS * corr_rounding
@@ -211,20 +225,13 @@ def moment_zeta(
 ) -> SumResult:
     """sum_{k>=1} m_k^s with a certified truncation bound.
 
-    Requires s strictly above the convergence abscissa; the result is within
-    tail_bound of the true sum.  The head is 1024 moments, or more as the
-    form's gap needs (at most 2^22; ``terms`` fixes it), and the form's tail
-    closes the rest (method "power-law-tail").  tail_bound exceeds tol when
-    the cap stops the head or tol is below the rounding of the sum.
+    ``certified_sum`` checks the preconditions: a power-law form, tol > 0, s
+    not NaN and s strictly above the convergence abscissa 1/alpha.  The
+    result is within tail_bound of the true sum.  The head is 1024 moments,
+    or more as the form's gap needs (at most 2^22; ``terms`` fixes it), and
+    the form's tail closes the rest (method "power-law-tail").  tail_bound
+    exceeds tol when the cap stops the head or tol is below the rounding of
+    the sum.
     """
-    if ms.power_law is None:
-        raise TailUnavailable("moment_zeta needs a power-law form to bound its truncation")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
-    alpha = ms.power_law.alpha
     s = float(s)
-    if s * alpha <= 1.0:
-        raise Divergence(
-            f"moment zeta sum diverges at s={s}: needs s > 1/alpha = {1.0 / alpha:.6g}"
-        )
     return certified_sum(ms, lambda m: m**s, lambda k: 1, (s,), tol, terms)

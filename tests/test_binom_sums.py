@@ -72,12 +72,17 @@ def test_stable_divergence_for_harmonic_tail():
         alt_sum_stable(riemann_ms(), 1, kmin=1)
     with pytest.raises(Divergence):
         alt_sum_stable(riemann_ms(), 100, kmin=1)
+    # A(n; 1) needs alpha > 1: alpha = 1.5 sums, and agrees with the oracle
+    res = alt_sum_stable(moment_sequence(PowerMoments(1.5)), 30, kmin=1, tol=1e-10)
+    assert abs(res.value - alt_sum_naive(30, 1, scaled_riemann_zeta_source(1.5))) <= 1e-8
 
 
 def test_stable_divergence_for_slow_tail_kmin2():
-    ms = moment_sequence(PowerMoments(0.4))
-    with pytest.raises(Divergence):
-        alt_sum_stable(ms, 10, kmin=2)
+    for alpha in (0.4, 0.5):  # A(n; 2) needs alpha > 1/2: alpha = 1/2 is out
+        with pytest.raises(Divergence):
+            alt_sum_stable(moment_sequence(PowerMoments(alpha)), 10, kmin=2)
+    res = alt_sum_stable(moment_sequence(PowerMoments(0.55)), 30, kmin=2, tol=1e-10)
+    assert abs(res.value - alt_sum_naive(30, 2, scaled_riemann_zeta_source(0.55))) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [5, 17, 40])

@@ -58,6 +58,18 @@ def test_zeta_divergent_exit_code(capsys):
     assert "divergent" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--dist", "riemann", "--s-eval", "nan"],
+    ["sum", "--dist", "riemann-scaled", "--s", "inf", "--kmin", "1", "--n", "10,100"],
+], ids=["nan-s-eval", "inf-s"])
+def test_non_numeric_exponent_is_numeric_failure(capsys, argv):
+    # neither has a number to report: NaN s is no exponent, and alpha = inf
+    # would make the tail sum inf * 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_zeta_value(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--dist", "riemann", "--s-eval", "2")
     assert code == 0
@@ -212,15 +224,15 @@ def test_table_edge_comes_from_its_last_segment(tmp_path, capsys):
     lines = out.splitlines()
     assert lines[0] == "k,m_k,k_pow_alpha_m_k,tail_L"
     assert {line.split(",")[-1] for line in lines[1:]} == {"0.5"}  # tail_L = f[-1]
-    # --c/--beta are an optional check: the right edge leaves the report as it is
-    assert run_cli(capsys, *argv, "--c", "0.5", "--beta", "0")[:2] == (0, out)
-    code, _, err = run_cli(capsys, *argv, "--c", "0.7", "--beta", "0")
-    assert code == 1
-    assert err.startswith("error:") and "edge data" in err
-    # one of the two alone would be ignored, so it is a usage error
-    with pytest.raises(SystemExit) as exc:
-        main([*argv, "--c", "0.5"])
-    assert exc.value.code == 2
+    # the edge is only derived: --c/--beta, right or wrong, alone or together,
+    # are usage errors
+    for edge, unread in [(("--c", "0.5", "--beta", "0"), "--beta, --c"),
+                         (("--c", "0.7", "--beta", "0"), "--beta, --c"),
+                         (("--c", "0.5"), "--c"), (("--beta", "1"), "--beta")]:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *edge])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.rstrip().endswith(f"--dist tabulated takes no {unread}")
     # the alpha1 predictor reads c = f[-1] from the table
     code, out, _ = run_cli(capsys, "sum", "--dist", "tabulated", "--table", str(table),
                            "--kmin", "2", "--n", "100,1000", "--tol", "1", "--predict", "alpha1")
@@ -289,8 +301,12 @@ def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
       "--beta", "0"], "--beta"),
     (["sum", "--dist", "uniform", "--n", "10", "--predict", "riemann", "--s", "2"], "--s"),
     (["game", "simulate", "--dist", "uniform", "--n-sets", "3", "--s", "2"], "--s"),
+    # a density's edge is derived from its form, never given
+    (["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"], "--c"),
+    (["moments", "--dist", "tabulated", "--table", "d.csv", "--c", "0.5", "--beta", "0"],
+     "--beta, --c"),
 ], ids=["moments-uniform", "zeta-riemann", "zeta-beta", "zeta-scaled", "sum", "sum-alpha1",
-        "sum-riemann", "simulate"])
+        "sum-riemann", "simulate", "beta-c", "tabulated-c-beta"])
 def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, unread):
     # each --dist family reads its own parameters, sum adds its --predict kind's
     with pytest.raises(SystemExit) as exc:
@@ -305,8 +321,7 @@ def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, unread):
     ["sum", "--dist", "riemann", "--kmin", "2", "--n", "100", "--predict", "alpha1", "--c", "1"],
     ["sum", "--dist", "riemann-scaled", "--s", "2", "--n", "100", "--predict", "mainisdef",
      "--c", "2", "--beta", "1"],
-    ["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"],
-], ids=["alpha1-c", "mainisdef-c-beta", "beta-c"])
+], ids=["alpha1-c", "mainisdef-c-beta"])
 def test_flags_the_command_reads_are_accepted(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out and err == ""

@@ -35,7 +35,7 @@ def test_uniform_moment_examples():
 
 def test_beta_edge_closed_form():
     # m_k = 2/((k+1)(k+2)) for the beta = 1 family
-    dist = BetaEdge(beta=1.0, c=2.0)
+    dist = BetaEdge(beta=1.0)
     assert dist.moments([2])[0] == pytest.approx(1.0 / 6.0, rel=1e-13)
     for k in (1, 3, 10, 100):
         assert dist.moments([k])[0] == pytest.approx(2.0 / ((k + 1) * (k + 2)), rel=1e-12)
@@ -43,7 +43,7 @@ def test_beta_edge_closed_form():
 
 def test_beta_edge_moment_asymptotics():
     # k^2 m_k -> c Gamma(2) = 2 within 1% by k = 1e4
-    dist = BetaEdge(beta=1.0, c=2.0)
+    dist = BetaEdge(beta=1.0)
     k = 10_000
     assert k**2 * dist.moments([k])[0] == pytest.approx(2.0, rel=0.01)
 
@@ -189,18 +189,21 @@ def test_density_normalized(dist):
 
 
 def test_beta_edge_rejects_unnormalized_c():
-    with pytest.raises(ValueError):
-        BetaEdge(beta=1.0, c=3.0)
-    with pytest.raises(ValueError):
-        BetaEdge(beta=1.0, c=math.nan)
+    # c is derived from beta, never passed: not even the normalising value
+    for c in (3.0, math.nan, 2.0, 2.0 + 1e-13):
+        with pytest.raises(TypeError):
+            BetaEdge(beta=1.0, c=c)
 
 
 def test_beta_edge_stores_c_as_beta_plus_one():
-    # a c within the normalisation slack must not leave the exact rational moments
-    dist = BetaEdge(beta=1, c=2.0 + 1e-13)
+    # c = beta + 1 exactly, so the moments stay the exact rational ones
+    for beta in (0, 1, 2.5, 169):
+        assert BetaEdge(beta).c == beta + 1.0
+    dist = BetaEdge(beta=1)
     assert dist.c == 2.0
+    assert dist.edge_params() == (2.0, 1.0)
     k = np.array([1.0, 7.0, 1e4, 1.6e7])
-    assert dist.moments(k).tobytes() == BetaEdge(1).moments(k).tobytes()
+    assert dist.moments(k).tobytes() == (2.0 / ((k + 1.0) * (k + 2.0))).tobytes()
 
 
 def test_tabulated_rejects_bad_mass():
@@ -213,9 +216,9 @@ def test_tabulated_rejects_bad_mass():
 def test_tail_models():
     pl = moment_sequence(Uniform()).power_law
     assert (pl.L, pl.alpha) == pytest.approx((1.0, 1.0), rel=1e-12)
-    pl = moment_sequence(BetaEdge(beta=1.0, c=2.0)).power_law
+    pl = moment_sequence(BetaEdge(beta=1.0)).power_law
     assert (pl.L, pl.alpha) == pytest.approx((2.0, 2.0), rel=1e-12)
-    pl = moment_sequence(BetaEdge(beta=2.0, c=3.0)).power_law
+    pl = moment_sequence(BetaEdge(beta=2.0)).power_law
     # Gamma(3) = 2, so L = 3 * 2
     assert (pl.L, pl.alpha) == pytest.approx((6.0, 3.0), rel=1e-12)
 
@@ -252,6 +255,10 @@ def test_tail_model_validation():
         PowerLawForm(L=1.0, alpha=-1.0)
     with pytest.raises(ValueError):
         PowerLawForm(L=math.inf, alpha=1.0)
+    # alpha = inf would make power_tail_sum's bound inf * 0 = NaN
+    for alpha in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PowerLawForm(L=1.0, alpha=alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -419,8 +426,9 @@ def test_moment_sequence_metadata():
 
 
 def test_abstract_sequence_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        PowerMoments(0.0)
+    for s in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            PowerMoments(s)
 
 
 def test_inconsistent_edge_data_raises_invalid_tail():
@@ -517,11 +525,17 @@ def test_custom_sequence_without_tail_is_allowed():
 def test_csv_roundtrip(tmp_path):
     path = tmp_path / "density.csv"
     path.write_text("x,f\n0.0,1.5\n1.0,0.5\n")
-    dist = load_tabulated_csv(str(path), edge=(0.5, 0.0))
+    dist = load_tabulated_csv(str(path))
     assert dist.moments([1])[0] == pytest.approx(
         0.5 / 2.0 + 2.0 * 0.5 / (2.0 * 3.0), rel=1e-13
     )
+    # the edge comes from the last segment alone: the loader takes no edge
     assert moment_sequence(dist).power_law.L == pytest.approx(0.5, rel=1e-12)
+    assert dist.edge_params() == (0.5, 0.0)
+    with pytest.raises(TypeError):
+        load_tabulated_csv(str(path), edge=(0.5, 0.0))
+    with pytest.raises(TypeError):
+        load_tabulated_csv(str(path), (0.5, 0.0))
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -41,10 +41,30 @@ def test_zeta30_two_term_dominance():
     assert abs(res.value - (1.0 + 2.0**-30)) <= 2.0 * 3.0**-30
 
 
-@pytest.mark.parametrize("k", [1, 0, -2])
-def test_zeta_divergence(k):
-    with pytest.raises(Divergence):
-        moment_zeta(riemann_sequence(), k)
+def _within_bound_of_zeta(res, s):
+    with mpmath.workdps(40):
+        assert abs(res.value - mpmath.zeta(mpmath.mpf(s))) <= res.tail_bound
+
+
+@pytest.mark.parametrize("k, diverges", [
+    pytest.param(1, True, id="1"), pytest.param(0, True, id="0"),
+    pytest.param(-2, True, id="-2"),
+    # the rule is s alpha > 1 and nothing looser: the next float above 1 converges
+    pytest.param(math.nextafter(1.0, 2.0), False, id="next-above-1"),
+])
+def test_zeta_divergence(k, diverges):
+    if diverges:
+        with pytest.raises(Divergence):
+            moment_zeta(riemann_sequence(), k)
+    else:
+        _within_bound_of_zeta(moment_zeta(riemann_sequence(), k), k)
+
+
+def test_nan_exponent_is_value_error():
+    # NaN fails every comparison, the convergence rule's too: it is no exponent
+    for ms in (riemann_sequence(), moment_sequence(Uniform())):
+        with pytest.raises(ValueError, match="NaN"):
+            moment_zeta(ms, math.nan)
 
 
 @pytest.mark.parametrize("k", [2, 3, 7])
@@ -135,6 +155,12 @@ def test_tail_unavailable():
         moment_zeta(ms, 2.0)
     with pytest.raises(TailUnavailable):
         convergence_abscissa(ms)
+    # the missing form is checked first: before tol, the exponent and divergence
+    for s, tol in [(2.0, 0.0), (2.0, -1.0), (math.nan, 1e-10), (0.5, 1e-10), (0.5, 0.0)]:
+        with pytest.raises(TailUnavailable):
+            moment_zeta(ms, s, tol=tol)
+    with pytest.raises(TailUnavailable):
+        alt_sum_stable(ms, 10, kmin=1, tol=0.0)
 
 
 def test_divergence_at_abscissa():
@@ -143,11 +169,26 @@ def test_divergence_at_abscissa():
         moment_zeta(ms, 0.5)
     with pytest.raises(Divergence):
         moment_zeta(ms, 0.3)
+    # s alpha = 1 exactly diverges; the next float above the abscissa converges
+    s = math.nextafter(0.5, 1.0)
+    _within_bound_of_zeta(moment_zeta(ms, s), 2.0 * s)
+    # the same rule for a shifted form: Uniform's alpha = 1
+    s = math.nextafter(1.0, 2.0)
+    res = moment_zeta(moment_sequence(Uniform()), s)
+    with mpmath.workdps(40):
+        assert abs(res.value - (mpmath.zeta(mpmath.mpf(s)) - 1)) <= res.tail_bound
 
 
 def test_tol_validation():
     with pytest.raises(ValueError):
         moment_zeta(moment_sequence(Uniform()), 2.0, tol=0.0)
+    # tol is checked before the exponent and divergence
+    for s in (0.5, math.nan):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="tol must be positive"):
+                moment_zeta(moment_sequence(Uniform()), s, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        alt_sum_stable(riemann_sequence(), 10, kmin=1, tol=0.0)
 
 
 # ---------------------------------------------------------------------------
