@@ -42,12 +42,14 @@ SCHEMA_VERSION = 1
 _DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
 # the distribution flags each --dist family reads, and those a sum --predict
 # kind reads on top; any other flag given is a usage error, as is every one
-# of them beside game simulate --p
+# of them beside game simulate --p.  The edge flags --c/--beta of a predict
+# kind are read only beside an abstract sequence: a density's edge is derived
 _FAMILY_READS = {
     "uniform": (), "beta": ("beta",), "tabulated": ("table",),
     "riemann": (), "riemann-scaled": ("s",),
 }
 _PREDICT_READS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann_scaled": ("s",)}
+_SEQUENCE_FAMILIES = ("riemann", "riemann-scaled")
 _SOURCE_FLAGS = ("dist", "beta", "c", "table", "s", "n_sets")
 # --dist -> zeta source of the naive oracle, called with --s
 _NAIVE_SOURCES = {
@@ -140,7 +142,8 @@ def _warn_if_missed(what: str, tail_bound: float, tol: float) -> None:
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dist", choices=_DIST_CHOICES, help="distribution / sequence family")
     p.add_argument("--beta", type=float, help="edge exponent of the density at x=1")
-    p.add_argument("--c", type=float, help="edge coefficient for sum --predict mainisdef/alpha1")
+    p.add_argument("--c", type=float, help="edge coefficient for sum --predict mainisdef/alpha1 beside "
+                   "riemann or riemann-scaled")
     p.add_argument("--table", help="CSV file with header x,f for --dist tabulated")
     p.add_argument("--s", type=float, help="exponent of the abstract sequence j^(-s)")
 
@@ -168,8 +171,10 @@ def _build_source(args, parser: argparse.ArgumentParser):
         parser.error("--dist is required")
     predict = getattr(args, "predict", None)  # sum's alone
     what = f"--dist {args.dist}" + (f" --predict {predict}" if predict else "")
+    predict_reads = [f for f in _PREDICT_READS.get(predict, ())
+                     if args.dist in _SEQUENCE_FAMILIES or f not in ("c", "beta")]
     _reject_unread(args, parser, what,
-                   ("dist", "n_sets", *_FAMILY_READS[args.dist], *_PREDICT_READS.get(predict, ())))
+                   ("dist", "n_sets", *_FAMILY_READS[args.dist], *predict_reads))
     if args.dist == "uniform":
         return Uniform()
     if args.dist == "beta":
@@ -258,11 +263,10 @@ def _cmd_sum(args, parser) -> int:
     source = _build_source(args, parser)
     ms = moment_sequence(source)
     ns = _parse_list(args.n, parser, "--n", int)
-    # let the predictor inherit edge parameters from the distribution
+    # an abstract sequence's predictor reads --c/--beta; a density's, its derived edge
     pred_c, pred_beta = args.c, args.beta
-    if args.predict in ("mainisdef", "alpha1") and pred_c is None:
-        if not isinstance(source, PowerMoments):
-            pred_c, pred_beta = source.edge_params()
+    if args.predict in ("mainisdef", "alpha1") and not isinstance(source, PowerMoments):
+        pred_c, pred_beta = source.edge_params()
     if args.method == "naive":
         if args.dist not in _NAIVE_SOURCES:
             parser.error("--method naive supports riemann, riemann-scaled and uniform only")

@@ -165,7 +165,7 @@ def certified_sum(ms: MomentSequence, term: Callable[[np.ndarray], np.ndarray],
         log_w = math.log(abs(w)) + k * log_l
         log_size = log_w + math.log(t + terr) if t + terr > 0.0 else -math.inf
         # |m_j^k / m~_j^k - 1| <= expm1(k g) past J
-        gap_term = math.expm1(k * g) * math.exp(log_size) if g > 0.0 else 0.0
+        gap_term = math.expm1(k * g) * math.exp(log_size) if g > 0.0 and t + terr > 0.0 else 0.0
         return t, terr, w, log_w, log_size, gap_term
 
     def fits(J: int) -> bool:  # the form bounds the tail past J, its first order within tol/4

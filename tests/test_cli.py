@@ -305,8 +305,16 @@ def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
     (["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"], "--c"),
     (["moments", "--dist", "tabulated", "--table", "d.csv", "--c", "0.5", "--beta", "0"],
      "--beta, --c"),
+    # ... also for the predictor, which reads the density's derived edge
+    (["sum", "--dist", "beta", "--beta", "1", "--c", "5", "--n", "10", "--predict", "mainisdef"],
+     "--c"),
+    (["sum", "--dist", "tabulated", "--table", "d.csv", "--n", "10", "--predict", "alpha1",
+      "--c", "0.7"], "--c"),
+    (["sum", "--dist", "uniform", "--n", "10", "--predict", "mainisdef", "--c", "1", "--beta",
+      "0"], "--beta, --c"),
 ], ids=["moments-uniform", "zeta-riemann", "zeta-beta", "zeta-scaled", "sum", "sum-alpha1",
-        "sum-riemann", "simulate", "beta-c", "tabulated-c-beta"])
+        "sum-riemann", "simulate", "beta-c", "tabulated-c-beta", "predict-beta-c",
+        "predict-tabulated-c", "predict-uniform-c-beta"])
 def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, unread):
     # each --dist family reads its own parameters, sum adds its --predict kind's
     with pytest.raises(SystemExit) as exc:

@@ -177,6 +177,10 @@ def test_divergence_at_abscissa():
     res = moment_zeta(moment_sequence(Uniform()), s)
     with mpmath.workdps(40):
         assert abs(res.value - (mpmath.zeta(mpmath.mpf(s)) - 1)) <= res.tail_bound
+    # far above it, a form with a gap: every m_j^s underflows, and so does the gap term
+    for s in (3e9, math.inf):
+        res = moment_zeta(moment_sequence(BetaEdge(beta=1.0)), s)
+        assert (res.value, res.terms_used) == (0.0, 1024) and 0.0 <= res.tail_bound <= 1e-10
 
 
 def test_tol_validation():
