@@ -48,7 +48,9 @@ __all__ = [
 
 NAIVE_DEFAULT_CAP = 256
 
-PREDICTION_KINDS = ("mainisdef", "alpha1", "riemann", "riemann_scaled")
+# each growth law and the parameters it reads
+PREDICTION_KINDS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann": (),
+                    "riemann_scaled": ("s",)}
 
 
 @dataclass(frozen=True)
@@ -74,7 +76,8 @@ def predict(kind: str, n: float, *, c: float | None = None, beta: float | None =
                      m_j = j^(-s), s > 1.
     """
     if kind not in PREDICTION_KINDS:
-        raise ValueError(f"unknown prediction kind {kind!r}; expected one of {PREDICTION_KINDS}")
+        raise ValueError(f"unknown prediction kind {kind!r}; "
+                         f"expected one of {tuple(PREDICTION_KINDS)}")
     n = float(n)
     if not (n >= 1.0):
         raise DomainError(f"predictions need n >= 1, got {n}")

@@ -11,6 +11,11 @@ Subcommands
     identity  quadrature vs closed form for the limit integrals
     verify    run the acceptance checks and emit a pass/fail report
 
+Each --dist family reads its own flags, each one required, and no other.
+sum --predict reads a growth law's parameters from the sequence it sums:
+its edge (c, beta) and its decay exponent s = alpha.  --c is an option of
+predict alone, whose kinds each read exactly their own flags.
+
 Reports are JSON ({"schema": 1, "config": ..., "results": ...}) or CSV with
 fixed headers.  Numbers carry 17 significant digits, so a given config and
 seed produce byte-identical output on one machine and numpy build; the seed
@@ -24,7 +29,7 @@ import argparse
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import acceptance, binom_sums, euler_maclaurin, game_sim
 from .dist_core import (
@@ -39,24 +44,24 @@ from .game_sim import GameParams
 from .moment_zeta import moment_zeta as _moment_zeta_sum
 
 SCHEMA_VERSION = 1
-_DIST_CHOICES = ("uniform", "beta", "tabulated", "riemann", "riemann-scaled")
-# the distribution flags each --dist family reads, and those a sum --predict
-# kind reads on top; any other flag given is a usage error, as is every one
-# of them beside game simulate --p.  The edge flags --c/--beta of a predict
-# kind are read only beside an abstract sequence: a density's edge is derived
-_FAMILY_READS = {
-    "uniform": (), "beta": ("beta",), "tabulated": ("table",),
-    "riemann": (), "riemann-scaled": ("s",),
+
+
+class _Family(NamedTuple):
+    reads: tuple[str, ...]  # the distribution flags it reads, each one required
+    build: Callable  # args -> EdgeDistribution or PowerMoments
+    naive: Callable | None  # args -> zeta source of the naive oracle
+
+
+_FAMILIES = {
+    "uniform": _Family((), lambda a: Uniform(), lambda a: binom_sums.uniform_zeta_source()),
+    "beta": _Family(("beta",), lambda a: BetaEdge(beta=a.beta), None),
+    "tabulated": _Family(("table",), lambda a: load_tabulated_csv(a.table), None),
+    "riemann": _Family((), lambda a: PowerMoments(1.0),
+                       lambda a: binom_sums.riemann_zeta_source()),
+    "riemann-scaled": _Family(("s",), lambda a: PowerMoments(a.s),
+                              lambda a: binom_sums.scaled_riemann_zeta_source(a.s)),
 }
-_PREDICT_READS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann_scaled": ("s",)}
-_SEQUENCE_FAMILIES = ("riemann", "riemann-scaled")
-_SOURCE_FLAGS = ("dist", "beta", "c", "table", "s", "n_sets")
-# --dist -> zeta source of the naive oracle, called with --s
-_NAIVE_SOURCES = {
-    "riemann": lambda s: binom_sums.riemann_zeta_source(),
-    "uniform": lambda s: binom_sums.uniform_zeta_source(),
-    "riemann-scaled": lambda s: binom_sums.scaled_riemann_zeta_source(s),
-}
+_DIST_FLAGS = ("beta", "table", "s")
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +145,8 @@ def _warn_if_missed(what: str, tail_bound: float, tol: float) -> None:
 # ---------------------------------------------------------------------------
 
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--dist", choices=_DIST_CHOICES, help="distribution / sequence family")
+    p.add_argument("--dist", choices=tuple(_FAMILIES), help="distribution / sequence family")
     p.add_argument("--beta", type=float, help="edge exponent of the density at x=1")
-    p.add_argument("--c", type=float, help="edge coefficient for sum --predict mainisdef/alpha1 beside "
-                   "riemann or riemann-scaled")
     p.add_argument("--table", help="CSV file with header x,f for --dist tabulated")
     p.add_argument("--s", type=float, help="exponent of the abstract sequence j^(-s)")
 
@@ -151,46 +154,36 @@ def _add_dist_args(p: argparse.ArgumentParser) -> None:
 def _dist_config(args) -> dict:
     return {
         "family": args.dist,
-        "c": args.c,
         "beta": args.beta,
         "table": args.table,
         "s": args.s,
     }
 
 
-def _reject_unread(args, parser: argparse.ArgumentParser, what: str, reads: Sequence[str]) -> None:
-    given = [f"--{f.replace('_', '-')}" for f in _SOURCE_FLAGS
-             if f not in reads and getattr(args, f, None) is not None]
+def _check_reads(args, parser: argparse.ArgumentParser, what: str, reads: Sequence[str],
+                 flags: Sequence[str]) -> None:
+    """Of ``flags``, each one ``what`` reads must be given, and no other."""
+    def named(fs):
+        return ", ".join(f"--{f.replace('_', '-')}" for f in fs)
+
+    given = [f for f in flags if f not in reads and getattr(args, f) is not None]
     if given:
-        parser.error(f"{what} takes no {', '.join(given)}")
+        parser.error(f"{what} takes no {named(given)}")
+    missing = [f for f in reads if getattr(args, f) is None]
+    if missing:
+        parser.error(f"{what} needs {named(missing)}")
 
 
-def _build_source(args, parser: argparse.ArgumentParser):
-    """EdgeDistribution or PowerMoments from CLI flags."""
+def _build_source(args, parser: argparse.ArgumentParser, density: bool = False):
+    """EdgeDistribution or PowerMoments from CLI flags; ``density`` refuses the latter."""
     if args.dist is None:
         parser.error("--dist is required")
-    predict = getattr(args, "predict", None)  # sum's alone
-    what = f"--dist {args.dist}" + (f" --predict {predict}" if predict else "")
-    predict_reads = [f for f in _PREDICT_READS.get(predict, ())
-                     if args.dist in _SEQUENCE_FAMILIES or f not in ("c", "beta")]
-    _reject_unread(args, parser, what,
-                   ("dist", "n_sets", *_FAMILY_READS[args.dist], *predict_reads))
-    if args.dist == "uniform":
-        return Uniform()
-    if args.dist == "beta":
-        if args.beta is None:
-            parser.error("--dist beta needs --beta")
-        return BetaEdge(beta=args.beta)
-    if args.dist == "tabulated":
-        if args.table is None:
-            parser.error("--dist tabulated needs --table")
-        return load_tabulated_csv(args.table)
-    if args.dist == "riemann":
-        return PowerMoments(1.0)
-    # riemann-scaled
-    if args.s is None:
-        parser.error("--dist riemann-scaled needs --s")
-    return PowerMoments(args.s)
+    family = _FAMILIES[args.dist]
+    _check_reads(args, parser, f"--dist {args.dist}", family.reads, _DIST_FLAGS)
+    source = family.build(args)
+    if density and isinstance(source, PowerMoments):
+        parser.error(f"--dist {args.dist} is an abstract sequence, not a distribution")
+    return source
 
 
 class _Once(argparse.Action):
@@ -243,10 +236,7 @@ def _cmd_moments(args, parser) -> int:
 
     if args.k_max < 1 or args.points < 1:
         parser.error("--k-max and --points must be >= 1")
-    source = _build_source(args, parser)
-    if isinstance(source, PowerMoments):
-        parser.error("moments needs a distribution, not an abstract sequence")
-    ms = moment_sequence(source)
+    ms = moment_sequence(_build_source(args, parser, density=True))
     pl = ms.power_law
     ks = np.unique(np.round(np.geomspace(1, args.k_max, args.points)).astype(np.int64))
     m = ms.moments(ks)
@@ -263,14 +253,18 @@ def _cmd_sum(args, parser) -> int:
     source = _build_source(args, parser)
     ms = moment_sequence(source)
     ns = _parse_list(args.n, parser, "--n", int)
-    # an abstract sequence's predictor reads --c/--beta; a density's, its derived edge
-    pred_c, pred_beta = args.c, args.beta
-    if args.predict in ("mainisdef", "alpha1") and not isinstance(source, PowerMoments):
-        pred_c, pred_beta = source.edge_params()
+    # a growth law reads its parameters from the summed sequence: the edge
+    # (c, beta) and s = alpha of its form
+    law = {"s": ms.power_law.alpha}
+    reads = binom_sums.PREDICTION_KINDS.get(args.predict, ())
+    if "c" in reads:
+        law["c"], law["beta"] = source.edge_params()
+    law = {f: law[f] for f in reads}
     if args.method == "naive":
-        if args.dist not in _NAIVE_SOURCES:
-            parser.error("--method naive supports riemann, riemann-scaled and uniform only")
-        zeta_source = _NAIVE_SOURCES[args.dist](args.s)
+        naive = _FAMILIES[args.dist].naive
+        if naive is None:
+            parser.error(f"--method naive has no oracle for --dist {args.dist}")
+        zeta_source = naive(args)
     rows = []
     for n in ns:
         if args.method == "stable":
@@ -282,7 +276,7 @@ def _cmd_sum(args, parser) -> int:
         _warn_if_missed(f"sum n={n}", tail_bound, args.tol)
         pred = residual = None
         if args.predict is not None:
-            pred = binom_sums.predict(args.predict, n, c=pred_c, beta=pred_beta, s=args.s).value
+            pred = binom_sums.predict(args.predict, n, **law).value
             # mainisdef and riemann_scaled predict the magnitude of a negative sum
             magnitude = args.predict in ("mainisdef", "riemann_scaled")
             residual = (abs(value) if magnitude else value) - pred
@@ -303,6 +297,8 @@ def _cmd_sum(args, parser) -> int:
 
 
 def _cmd_predict(args, parser) -> int:
+    _check_reads(args, parser, f"predict --kind {args.kind}",
+                 binom_sums.PREDICTION_KINDS[args.kind], ("beta", "c", "s"))
     pred = binom_sums.predict(args.kind, args.n, c=args.c, beta=args.beta, s=args.s)
     config = {"command": "predict", "kind": args.kind, "n": args.n,
               "c": args.c, "beta": args.beta, "s": args.s}
@@ -332,15 +328,13 @@ def _cmd_game_simulate(args, parser) -> int:
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     if args.p is not None:
-        _reject_unread(args, parser, "game simulate --p", ())
+        _check_reads(args, parser, "game simulate --p", (), ("dist", *_DIST_FLAGS, "n_sets"))
         params = GameParams(_parse_list(args.p, parser, "--p"))
         report = game_sim.run_trials("fixed-p", params, trials=args.trials, seed=seed)
         config = {"command": "game-simulate", "mode": "fixed-p", "p": list(params.p),
                   "trials": args.trials, "seed": seed}
     else:
-        source = _build_source(args, parser)
-        if isinstance(source, PowerMoments):
-            parser.error("game simulate needs a distribution, not an abstract sequence")
+        source = _build_source(args, parser, density=True)
         if args.n_sets is None or args.n_sets < 1:
             parser.error("game simulate --dist ... needs --n-sets >= 1")
         report = game_sim.run_trials("random-p", source, trials=args.trials, seed=seed,

@@ -258,19 +258,19 @@ class TabulatedDensity(EdgeDistribution):
         self._edge = (float(edge[0]), float(edge[1])) if edge is not None else None
         if self._edge is not None and not (self._edge[0] > 0.0 and self._edge[1] >= 0.0):
             raise ValueError(f"edge data needs c > 0 and beta >= 0, got {self._edge}")
-        # cumulative mass at the grid nodes (piecewise quadratic in between)
-        seg = 0.5 * (f[1:] + f[:-1]) * np.diff(x)
+        # each segment's width, rise and line f = A + B x, and the cumulative
+        # mass at the grid nodes (piecewise quadratic in between)
+        self._width = x[1:] - x[:-1]
+        self._rise = f[1:] - f[:-1]
+        self._B = self._rise / self._width
+        self._A = f[:-1] - self._B * x[:-1]
+        seg = 0.5 * (f[1:] + f[:-1]) * self._width
         self._cum = np.concatenate([[0.0], np.cumsum(seg)])
-        self._cum.setflags(write=False)
+        for a in (self._width, self._rise, self._B, self._A, self._cum):
+            a.setflags(write=False)
 
     def pdf(self, x):
         return np.interp(np.asarray(x, dtype=np.float64), self.x, self.f, left=0.0, right=0.0)
-
-    def _segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-segment x[i+1] - x[i], f[i+1] - f[i] and their ratio, the slope."""
-        width = self.x[1:] - self.x[:-1]
-        rise = self.f[1:] - self.f[:-1]
-        return width, rise, rise / width
 
     def cdf(self, x):
         # cum[i] + (x - x[i]) (f[i] + 0.5 t (f[i+1] - f[i])), t = (x - x[i]) / (x[i+1] - x[i]),
@@ -278,7 +278,7 @@ class TabulatedDensity(EdgeDistribution):
         # into one of four arrays the size of x (take with out= buffers a copy
         # unless mode="clip"; idx is in range already)
         x = np.asarray(x, dtype=np.float64)
-        width, rise, _ = self._segments()
+        width, rise = self._width, self._rise
         xc = np.clip(np.atleast_1d(x), 0.0, 1.0)
         idx = np.searchsorted(self.x, xc, side="right")
         np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
@@ -299,7 +299,7 @@ class TabulatedDensity(EdgeDistribution):
         # size of u
         u = np.asarray(u, dtype=np.float64)
         ua = np.atleast_1d(u)
-        width, _, slope = self._segments()
+        width, slope = self._width, self._B
         idx = np.searchsorted(self._cum, ua, side="left")
         np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
         r = self._cum.take(idx)
@@ -341,11 +341,8 @@ class TabulatedDensity(EdgeDistribution):
         # so the two terms cannot cancel when f[-1] is small; rows over every
         # segment are built only for the k before that point.
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-        x0, x1 = self.x[:-1], self.x[1:]
-        f0, f1 = self.f[:-1], self.f[1:]
-        B = (f1 - f0) / (x1 - x0)
-        A = f0 - B * x0
-        out = f1[-1] / (k + 2.0) + A[-1] / ((k + 1.0) * (k + 2.0))
+        x0, x1, A, B = self.x[:-1], self.x[1:], self._A, self._B
+        out = self.f[-1] / (k + 2.0) + A[-1] / ((k + 1.0) * (k + 2.0))
         with np.errstate(divide="ignore"):
             near = (k + 1.0) * np.log(np.max(np.abs(x0))) > _LOG_UNDERFLOW
         kn = k[near]
@@ -368,9 +365,9 @@ class TabulatedDensity(EdgeDistribution):
         which relative to the form peaks at j* = alpha/(-log x[-2]) - shift.
         """
         x2, f2, f1 = float(self.x[-2]), float(self.f[-2]), float(self.f[-1])
-        B = (f1 - f2) / (1.0 - x2)
+        A, B = float(self._A[-1]), float(self._B[-1])
         if f1 > 0.0:
-            L, alpha, shift, q0 = f1, 1.0, 1.0 + B / f1, abs((f2 - B * x2) * B) / (f1 * f1)
+            L, alpha, shift, q0 = f1, 1.0, 1.0 + B / f1, abs(A * B) / (f1 * f1)
 
             def pole_gap(J: float) -> float:
                 q = q0 / ((J + 2.0) * (J + 3.0))
@@ -387,8 +384,7 @@ class TabulatedDensity(EdgeDistribution):
                                   f"the last segment's ({L:.6g}, {alpha - 1.0:g})")
         if x2 == 0.0:
             return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=pole_gap)
-        slopes = np.diff(self.f) / np.diff(self.x)
-        S = float(np.sum(np.abs(self.f[:-1] - slopes * self.x[:-1]) + np.abs(slopes)))
+        S = float(np.sum(np.abs(self._A) + np.abs(self._B)))
         log_x2 = math.log(x2)
 
         def gap(J: float) -> float:
@@ -412,6 +408,14 @@ class PowerMoments:
 
     def moments(self, j) -> np.ndarray:
         return np.asarray(j, dtype=np.float64) ** (-self.s)
+
+    def edge_params(self) -> tuple[float, float]:
+        """(1/Gamma(s), s - 1): the density edge (c, beta) whose moments decay like j^(-s).
+
+        1/Gamma(s) is taken in logs: where Gamma(s) overflows (s > 171.6) it underflows
+        towards 0 instead.
+        """
+        return (math.exp(-math.lgamma(self.s)), self.s - 1.0)
 
 
 class MomentSequence:

@@ -12,9 +12,8 @@ closing the truncated tail with its two endpoint corrections, whose
 remainder is certified by the bounded variation of g'' beyond the cut.
 
 ``defect_direct`` computes D_n(N) literally and independently: the partial
-sum is summed term by term and the integral uses the exact antiderivative
-(binomial expansion in 1/x) whenever N comfortably exceeds n, falling back
-to adaptive quadrature otherwise.
+sum is summed term by term, and the integral, after u = 1 - 1/x, is the
+incomplete beta function B(1 - 1/N; n + 1, -1) at 30 digits.
 """
 
 from __future__ import annotations
@@ -46,27 +45,6 @@ class DefectResult:
     deviation: float
 
 
-def _integral_closed_form(n: int, big_n: int) -> float:
-    """I_n(N) = N - n log N + n H_{n-1} - n - P(1/N), for N well above n.
-
-    P(t) = sum_{k=2}^n C(n,k) (-1)^k t^(k-1)/(k-1) evaluated by a term
-    recurrence; at t = 1/N with N >= 4n the terms decay geometrically.
-    H_{n-1} is digamma(n) + gamma.
-    """
-    from scipy.special import digamma
-
-    t = 1.0 / big_n
-    p_val = 0.0
-    term = 0.5 * n * (n - 1.0) * t  # k = 2 term
-    k = 2
-    while k <= n and abs(term) > 1e-18:
-        p_val += term if k % 2 == 0 else -term
-        term *= (n - k) / (k + 1.0) * t * (k - 1.0) / k
-        k += 1
-    harmonic = float(digamma(n)) + np.euler_gamma
-    return big_n - n * math.log(big_n) + n * harmonic - n - p_val
-
-
 def defect_direct(n: int, big_n: int) -> float:
     """D_n(N) = S_n(N) - I_n(N), the literal partial defect.
 
@@ -79,15 +57,11 @@ def defect_direct(n: int, big_n: int) -> float:
         return 1.0
     with np.errstate(divide="ignore"):
         s_val, _ = blocked_sum(lambda j: np.exp(n * np.log1p(-1.0 / j)), big_n)
-    if big_n >= 4 * n:
-        i_val = _integral_closed_form(n, big_n)
-    else:
-        from scipy import integrate
+    import mpmath
 
-        i_val, _ = integrate.quad(
-            lambda x: math.exp(n * math.log1p(-1.0 / x)), 1.0, float(big_n),
-            epsabs=1e-12, epsrel=1e-12, limit=400,
-        )
+    # I_n(N) = int_0^(1-1/N) u^n (1-u)^(-2) du
+    with mpmath.workdps(30):
+        i_val = float(mpmath.betainc(n + 1, -1, 0, 1 - mpmath.mpf(1) / big_n))
     return s_val - i_val
 
 

@@ -225,14 +225,16 @@ def test_table_edge_comes_from_its_last_segment(tmp_path, capsys):
     assert lines[0] == "k,m_k,k_pow_alpha_m_k,tail_L"
     assert {line.split(",")[-1] for line in lines[1:]} == {"0.5"}  # tail_L = f[-1]
     # the edge is only derived: --c/--beta, right or wrong, alone or together,
-    # are usage errors
-    for edge, unread in [(("--c", "0.5", "--beta", "0"), "--beta, --c"),
-                         (("--c", "0.7", "--beta", "0"), "--beta, --c"),
-                         (("--c", "0.5"), "--c"), (("--beta", "1"), "--beta")]:
+    # are usage errors (--c is no flag of moments at all)
+    for edge, error in [(("--c", "0.5", "--beta", "0"), "unrecognized arguments: --c 0.5"),
+                        (("--c", "0.7", "--beta", "0"), "unrecognized arguments: --c 0.7"),
+                        (("--c", "0.5"), "unrecognized arguments: --c 0.5"),
+                        (("--beta", "1"), "--dist tabulated takes no --beta")]:
         with pytest.raises(SystemExit) as exc:
             main([*argv, *edge])
         assert exc.value.code == 2
-        assert capsys.readouterr().err.rstrip().endswith(f"--dist tabulated takes no {unread}")
+        out, err = capsys.readouterr()
+        assert out == "" and err.rstrip().endswith(error)
     # the alpha1 predictor reads c = f[-1] from the table
     code, out, _ = run_cli(capsys, "sum", "--dist", "tabulated", "--table", str(table),
                            "--kmin", "2", "--n", "100,1000", "--tol", "1", "--predict", "alpha1")
@@ -291,48 +293,111 @@ def test_game_simulate_fixed_p_rejects_random_p_flags(capsys, flag, value):
     assert flag in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv, unread", [
-    (["moments", "--dist", "uniform", "--c", "5", "--beta", "3"], "--beta, --c"),
-    (["zeta", "--dist", "riemann", "--s", "3", "--s-eval", "2"], "--s"),
-    (["zeta", "--dist", "beta", "--beta", "1", "--table", "d.csv", "--s-eval", "2"], "--table"),
-    (["zeta", "--dist", "riemann-scaled", "--s", "2", "--c", "1", "--s-eval", "2"], "--c"),
-    (["sum", "--dist", "riemann", "--n", "10", "--c", "1"], "--c"),
+# --c is an option of predict alone: the other commands read a law's
+# parameters from the sequence they sum
+_NO_C = "unrecognized arguments: --c"
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["moments", "--dist", "uniform", "--c", "5", "--beta", "3"], f"{_NO_C} 5"),
+    (["zeta", "--dist", "riemann", "--s", "3", "--s-eval", "2"], "takes no --s"),
+    (["zeta", "--dist", "beta", "--beta", "1", "--table", "d.csv", "--s-eval", "2"],
+     "takes no --table"),
+    (["zeta", "--dist", "riemann-scaled", "--s", "2", "--c", "1", "--s-eval", "2"], f"{_NO_C} 1"),
+    (["sum", "--dist", "riemann", "--n", "10", "--c", "1"], f"{_NO_C} 1"),
     (["sum", "--dist", "riemann", "--n", "10", "--predict", "alpha1", "--c", "1",
-      "--beta", "0"], "--beta"),
-    (["sum", "--dist", "uniform", "--n", "10", "--predict", "riemann", "--s", "2"], "--s"),
-    (["game", "simulate", "--dist", "uniform", "--n-sets", "3", "--s", "2"], "--s"),
+      "--beta", "0"], f"{_NO_C} 1"),
+    (["sum", "--dist", "uniform", "--n", "10", "--predict", "riemann", "--s", "2"], "takes no --s"),
+    (["game", "simulate", "--dist", "uniform", "--n-sets", "3", "--s", "2"], "takes no --s"),
     # a density's edge is derived from its form, never given
-    (["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"], "--c"),
+    (["zeta", "--dist", "beta", "--beta", "1", "--c", "2", "--s-eval", "2"], f"{_NO_C} 2"),
     (["moments", "--dist", "tabulated", "--table", "d.csv", "--c", "0.5", "--beta", "0"],
-     "--beta, --c"),
+     f"{_NO_C} 0.5"),
     # ... also for the predictor, which reads the density's derived edge
     (["sum", "--dist", "beta", "--beta", "1", "--c", "5", "--n", "10", "--predict", "mainisdef"],
-     "--c"),
+     f"{_NO_C} 5"),
     (["sum", "--dist", "tabulated", "--table", "d.csv", "--n", "10", "--predict", "alpha1",
-      "--c", "0.7"], "--c"),
+      "--c", "0.7"], f"{_NO_C} 0.7"),
     (["sum", "--dist", "uniform", "--n", "10", "--predict", "mainisdef", "--c", "1", "--beta",
-      "0"], "--beta, --c"),
+      "0"], f"{_NO_C} 1"),
+    # ... and for an abstract sequence's, which reads its law (1/Gamma(s), s - 1)
+    (["sum", "--dist", "riemann", "--kmin", "2", "--n", "100", "--predict", "alpha1", "--c", "1"],
+     f"{_NO_C} 1"),
+    (["sum", "--dist", "riemann-scaled", "--s", "2", "--n", "100", "--predict", "mainisdef",
+      "--c", "2", "--beta", "1"], f"{_NO_C} 2"),
+    # a sum --predict kind reads no flags of its own
+    (["sum", "--dist", "riemann", "--n", "10", "--predict", "riemann_scaled", "--s", "2"],
+     "--dist riemann takes no --s"),
+    (["moments", "--dist", "uniform", "--beta", "3"], "--dist uniform takes no --beta"),
 ], ids=["moments-uniform", "zeta-riemann", "zeta-beta", "zeta-scaled", "sum", "sum-alpha1",
         "sum-riemann", "simulate", "beta-c", "tabulated-c-beta", "predict-beta-c",
-        "predict-tabulated-c", "predict-uniform-c-beta"])
-def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, unread):
-    # each --dist family reads its own parameters, sum adds its --predict kind's
+        "predict-tabulated-c", "predict-uniform-c-beta", "predict-riemann-c",
+        "predict-scaled-c-beta", "predict-riemann-s", "moments-uniform-beta"])
+def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, error):
+    # each --dist family reads its own parameters, and no other command than
+    # predict has --c
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.rstrip().endswith(f"takes no {unread}")
+    assert err.rstrip().endswith(error)
 
 
 @pytest.mark.parametrize("argv", [
-    ["sum", "--dist", "riemann", "--kmin", "2", "--n", "100", "--predict", "alpha1", "--c", "1"],
-    ["sum", "--dist", "riemann-scaled", "--s", "2", "--n", "100", "--predict", "mainisdef",
-     "--c", "2", "--beta", "1"],
+    ["predict", "--kind", "alpha1", "--n", "100", "--c", "1"],
+    ["predict", "--kind", "mainisdef", "--n", "100", "--c", "2", "--beta", "1"],
 ], ids=["alpha1-c", "mainisdef-c-beta"])
 def test_flags_the_command_reads_are_accepted(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["--kind", "riemann", "--c", "5", "--beta", "3", "--s", "9"],
+     "predict --kind riemann takes no --beta, --c, --s"),
+    (["--kind", "riemann_scaled", "--s", "2", "--c", "1"],
+     "predict --kind riemann_scaled takes no --c"),
+    (["--kind", "alpha1", "--c", "1", "--beta", "1"], "predict --kind alpha1 takes no --beta"),
+    (["--kind", "mainisdef", "--c", "2"], "predict --kind mainisdef needs --beta"),
+    (["--kind", "mainisdef"], "predict --kind mainisdef needs --c, --beta"),
+    (["--kind", "alpha1"], "predict --kind alpha1 needs --c"),
+    (["--kind", "riemann_scaled"], "predict --kind riemann_scaled needs --s"),
+], ids=["riemann-unread", "scaled-unread", "alpha1-unread", "mainisdef-missing-beta",
+        "mainisdef-missing-both", "alpha1-missing", "scaled-missing"])
+def test_predict_reads_only_its_kinds_flags(capsys, argv, error):
+    # an unread flag is not echoed into the config, and a missing one is not a DomainError
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--n", "100", *argv])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.rstrip().endswith(error)
+
+
+def _sum_rows(capsys, *argv):
+    code, out, err = run_cli(capsys, "sum", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    return json.loads(out)["results"]["rows"]
+
+
+def test_sum_predictors_read_the_sequence_law(capsys):
+    # j^(-2) has the edge (c, beta) = (1/Gamma(2), 1), so mainisdef is Gamma(1/2) n^(1/2),
+    # the riemann_scaled law at s = alpha = 2
+    argv = ("--dist", "riemann-scaled", "--s", "2", "--n", "10,1000,100000")
+    main_term = _sum_rows(capsys, *argv, "--predict", "mainisdef")
+    scaled = _sum_rows(capsys, *argv, "--predict", "riemann_scaled")
+    for a, b in zip(main_term, scaled):
+        assert a["prediction"] == pytest.approx(b["prediction"], rel=1e-15)
+        assert a["value"] == b["value"]
+    # 1/j has c = 1/Gamma(1) = 1, so alpha1 predicts n log n
+    for row in _sum_rows(capsys, "--dist", "riemann", "--kmin", "2", "--n", "10,1000",
+                         "--predict", "alpha1"):
+        assert row["prediction"] == pytest.approx(row["n"] * math.log(row["n"]), rel=1e-15)
+    # s = 200, past where Gamma(s) overflows: riemann_scaled reads s = alpha alone
+    (row,) = _sum_rows(capsys, "--dist", "riemann-scaled", "--s", "200", "--n", "10",
+                       "--predict", "riemann_scaled")
+    assert row["prediction"] == pytest.approx(math.gamma(1.0 - 1.0 / 200) * 10 ** (1.0 / 200))
 
 
 @pytest.mark.parametrize("argv", [

@@ -231,6 +231,12 @@ def test_table_edge_is_derived_from_its_last_segment():
     assert tab21.edge_params() == (tab21.f[-2] / (1.0 - tab21.x[-2]), 1.0)
     assert Uniform().edge_params() == (1.0, 0.0)
     assert BetaEdge(beta=2.5).edge_params() == (3.5, 2.5)
+    # j^(-s) has the edge (1/Gamma(s), s - 1) of the same law, L = 1 and alpha = s,
+    # still finite where Gamma(s) overflows
+    assert PowerMoments(1.0).edge_params() == (1.0, 0.0)
+    assert PowerMoments(3.0).edge_params() == pytest.approx((0.5, 2.0), rel=1e-15)
+    c, beta = PowerMoments(175.0).edge_params()
+    assert beta == 174.0 and c == pytest.approx(float(1 / mpmath.gamma(175)), rel=1e-6)
     # a zero last segment decays faster than any power: no form, no edge
     flat_end = TabulatedDensity([0.0, 0.5, 0.75, 1.0], [2.0, 2.0, 0.0, 0.0], normalize=True)
     with pytest.raises(TailUnavailable):

@@ -27,9 +27,9 @@ def test_direct_n1_limit():
 
 
 def test_direct_paths_are_consistent():
-    # same defect increment measured by the closed-form and quadrature branches
+    # the increment D_n(400) - D_n(100) matches the partial sum minus a quadrature
     n = 30
-    lo, hi = 100, 400  # n*4 = 120 sits between, so the two calls take different branches
+    lo, hi = 100, 400
     gap = defect_direct(n, hi) - defect_direct(n, lo)
     j = np.arange(lo + 1, hi + 1, dtype=np.float64)
     s_part = float(np.sum((1.0 - 1.0 / j) ** n))
