@@ -44,12 +44,6 @@ class CriterionResult:
         return f"[{status}] criterion {self.cid}: {self.description}"
 
 
-def _riemann_residual(n: int) -> float:
-    ms = moment_sequence(PowerMoments(1.0))
-    value = binom_sums.alt_sum_stable(ms, n, kmin=2, tol=1e-9).value
-    return value - (n * math.log(n) + (2.0 * np.euler_gamma - 1.0) * n)
-
-
 def criterion_1(seed: int = 42) -> CriterionResult:
     """Naive oracle vs stable evaluation, Riemann sequence, n = 2..40."""
     ms = moment_sequence(PowerMoments(1.0))
@@ -72,7 +66,9 @@ def criterion_1(seed: int = 42) -> CriterionResult:
 
 def criterion_2(seed: int = 42) -> CriterionResult:
     """Riemann remainder: res(n) shrinks like 1/n with the calibrated scale."""
-    res = {n: _riemann_residual(n) for n in (10, 100, 1000)}
+    ms = moment_sequence(PowerMoments(1.0))
+    res = {n: binom_sums.alt_sum_stable(ms, n, kmin=2, tol=1e-9).value
+           - binom_sums.predict("riemann", n).value for n in (10, 100, 1000)}
     decreasing = abs(res[1000]) < abs(res[100]) < abs(res[10])
     within = abs(res[1000]) <= RIEMANN_RESIDUAL_SCALE / 1000.0
     return CriterionResult(
@@ -115,7 +111,7 @@ def criterion_4(seed: int = 42) -> CriterionResult:
     n = 10_000
     ms = moment_sequence(BetaEdge(beta=1.0))
     value = binom_sums.alt_sum_stable(ms, n, kmin=1, tol=0.05).value
-    target = math.sqrt(2.0 * math.pi * n)
+    target = binom_sums.sequence_law("mainisdef", ms.power_law, 1)(n)  # sqrt(2 pi n)
     ratio = -value / target
     return CriterionResult(
         cid="4",
@@ -281,17 +277,16 @@ def criterion_10(seed: int = 42) -> CriterionResult:
 def criterion_11(seed: int = 42) -> CriterionResult:
     """alpha = 1 growth law on a perturbed linear density with edge value c."""
     n = 10_000
-    c = ALPHA1_EDGE_C
-    dist = TabulatedDensity([0.0, 1.0], [2.0 - c, c])
-    ms = moment_sequence(dist)
+    ms = moment_sequence(TabulatedDensity([0.0, 1.0], [2.0 - ALPHA1_EDGE_C, ALPHA1_EDGE_C]))
     value = binom_sums.alt_sum_stable(ms, n, kmin=2, tol=25.0).value
-    ratio = value / (c * n * math.log(n))
+    target = binom_sums.sequence_law("alpha1", ms.power_law, 2)(n)  # c = L of the form
+    ratio = value / target
     return CriterionResult(
         cid="11",
         description="A(1e4;2) / (c n log n) in [0.9, 1.1] for the perturbed density"
         f" with edge value c={ALPHA1_EDGE_C}",
         passed=0.9 <= ratio <= 1.1,
-        details={"value": value, "c_n_log_n": c * n * math.log(n), "ratio": ratio},
+        details={"value": value, "c_n_log_n": target, "ratio": ratio},
     )
 
 

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .dist_core import MomentSequence
+from .dist_core import MomentSequence, PowerLawForm
 from .errors import DomainError, PrecisionExhausted, QuadratureFailure
 from .moment_zeta import SumResult, certified_sum
 # the benchmark's tracer looks these three up here by name
@@ -39,6 +39,7 @@ __all__ = [
     "alt_sum_stable",
     "alt_sum_naive",
     "predict",
+    "sequence_law",
     "gamma_integral_identity_check",
     "riemann_zeta_source",
     "scaled_riemann_zeta_source",
@@ -48,9 +49,22 @@ __all__ = [
 
 NAIVE_DEFAULT_CAP = 256
 
-# each growth law and the parameters it reads
-PREDICTION_KINDS = {"mainisdef": ("c", "beta"), "alpha1": ("c",), "riemann": (),
-                    "riemann_scaled": ("s",)}
+
+class _Kind(NamedTuple):
+    reads: tuple[str, ...]  # the predict flags it reads, each one required
+    form: Callable[..., tuple[float, float]]  # those flags -> (log L, alpha)
+    kmin: int  # it predicts A(n; kmin)
+
+
+# each growth law, its flags read as the tail m_j ~ L j^(-alpha); a density
+# edge f(x) ~ c (1-x)^beta has L = c Gamma(beta+1) and alpha = beta + 1
+PREDICTION_KINDS = {
+    "mainisdef": _Kind(("c", "beta"), lambda c, beta: (math.log(c) + math.lgamma(beta + 1.0),
+                                                       beta + 1.0), 1),
+    "alpha1": _Kind(("c",), lambda c: (math.log(c), 1.0), 2),
+    "riemann": _Kind((), lambda: (0.0, 1.0), 2),
+    "riemann_scaled": _Kind(("s",), lambda s: (0.0, s), 1),
+}
 
 
 @dataclass(frozen=True)
@@ -63,47 +77,58 @@ class AsymptoticPrediction:
     value: float
 
 
+def _law(kind: str, log_L: float, alpha: float, n: float) -> float:
+    """The kind's growth law at n for the tail m_j ~ L j^(-alpha).
+
+    |A(n; 1)| ~ L^(1/alpha) Gamma(1 - 1/alpha) n^(1/alpha) for alpha > 1, and
+    A(n; 2) ~ L n log n for alpha = 1 (Flajolet & Sedgewick, TCS 144, 1995),
+    plus (2 gamma - 1) n for riemann, m_j = 1/j.  L enters as log L, so
+    L^(1/alpha) stays finite where L overflows.
+    """
+    kmin = PREDICTION_KINDS[kind].kmin
+    if not (math.isfinite(log_L) and (1.0 < alpha < math.inf if kmin == 1 else alpha == 1.0)
+            and 1.0 <= n < math.inf):
+        raise DomainError(f"{kind} needs a finite L > 0, alpha {'>' if kmin == 1 else '='} 1 "
+                          f"and a finite n >= 1, got log L={log_L}, alpha={alpha}, n={n}")
+    if kmin == 1:
+        return math.exp(log_L / alpha) * math.gamma(1.0 - 1.0 / alpha) * n ** (1.0 / alpha)
+    value = math.exp(log_L) * n * math.log(n)
+    return value + (2.0 * np.euler_gamma - 1.0) * n if kind == "riemann" else value
+
+
 def predict(kind: str, n: float, *, c: float | None = None, beta: float | None = None,
             s: float | None = None) -> AsymptoticPrediction:
     """Evaluate one of the growth laws at n.
 
-    kinds:
-      mainisdef      (c Gamma(beta+1))^(1/(beta+1)) Gamma(beta/(beta+1)) n^(1/(beta+1)),
-                     the magnitude of A(n; 1) for edge exponent beta > 0;
-      alpha1         c n log n, the leading term of A(n; 2) when alpha = 1;
-      riemann        n log n + (2 gamma - 1) n, the Riemann-case A(n; 2);
-      riemann_scaled Gamma(1 - 1/s) n^(1/s), the magnitude of A(n; 1) for
-                     m_j = j^(-s), s > 1.
+    Each kind reads its flags as the tail (log L, alpha) of the one law:
+    mainisdef the edge (c, beta), L = c Gamma(beta+1) and alpha = beta+1, and
+    riemann_scaled L = 1 and alpha = s > 1, both for |A(n; 1)|; alpha1 L = c and
+    riemann m_j = 1/j, both at alpha = 1 for A(n; 2).  A missing or out-of-range
+    parameter, or a non-finite L, alpha or n, raises DomainError.
     """
     if kind not in PREDICTION_KINDS:
         raise ValueError(f"unknown prediction kind {kind!r}; "
                          f"expected one of {tuple(PREDICTION_KINDS)}")
+    params = {f: {"c": c, "beta": beta, "s": s}[f] for f in PREDICTION_KINDS[kind].reads}
+    try:
+        log_L, alpha = PREDICTION_KINDS[kind].form(**params)
+    except (TypeError, ValueError):  # a missing parameter, c <= 0, or a pole of lgamma
+        raise DomainError(f"{kind} has no tail (L, alpha) at {params}") from None
     n = float(n)
-    if not (n >= 1.0):
-        raise DomainError(f"predictions need n >= 1, got {n}")
-    if kind == "mainisdef":
-        if c is None or beta is None or not (c > 0.0) or not (beta > 0.0):
-            raise DomainError(f"mainisdef needs c > 0 and beta > 0, got c={c}, beta={beta}")
-        # (c Gamma(beta+1))^(1/(beta+1)) in logs: Gamma(beta+1) alone overflows
-        # for beta > 170.6
-        value = (
-            math.exp((math.log(c) + math.lgamma(beta + 1.0)) / (beta + 1.0))
-            * math.gamma(beta / (beta + 1.0))
-            * n ** (1.0 / (beta + 1.0))
-        )
-        return AsymptoticPrediction("mainisdef", {"c": c, "beta": beta}, n, value)
-    if kind == "alpha1":
-        if c is None or not (c > 0.0):
-            raise DomainError(f"alpha1 needs c > 0, got {c}")
-        return AsymptoticPrediction("alpha1", {"c": c}, n, c * n * math.log(n))
-    if kind == "riemann":
-        value = n * math.log(n) + (2.0 * np.euler_gamma - 1.0) * n
-        return AsymptoticPrediction("riemann", {}, n, value)
-    # riemann_scaled
-    if s is None or not (s > 1.0):
-        raise DomainError(f"riemann_scaled needs s > 1, got {s}")
-    value = math.gamma(1.0 - 1.0 / s) * n ** (1.0 / s)
-    return AsymptoticPrediction("riemann_scaled", {"s": s}, n, value)
+    return AsymptoticPrediction(kind, params, n, _law(kind, log_L, alpha, n))
+
+
+def sequence_law(kind: str, form: PowerLawForm, kmin: int) -> Callable[[float], float]:
+    """n -> the kind's growth law for A(n; kmin) of a sequence with this tail form.
+
+    A kind predicts only its own kmin, and riemann only m_j = 1/j exactly (else DomainError).
+    """
+    if kmin != PREDICTION_KINDS[kind].kmin:
+        raise DomainError(f"{kind} predicts A(n; {PREDICTION_KINDS[kind].kmin}), not A(n; {kmin})")
+    if kind == "riemann" and (form != PowerLawForm(1.0, 1.0) or form.gap(0.0) != 0.0):
+        raise DomainError(f"riemann predicts m_j = 1/j only, not L={form.L:.6g}, "
+                          f"alpha={form.alpha:g}, shift={form.shift:g}")
+    return lambda n: _law(kind, math.log(form.L), form.alpha, n)
 
 
 def _moment_space_terms(m: np.ndarray, n: int, kmin: int) -> np.ndarray:
@@ -215,6 +240,7 @@ def gamma_integral_identity_check(L: float, alpha: float) -> tuple[float, float]
 
     alpha > 1:  int_0^inf (1-exp(-L u^alpha))/u^2 du = L^(1/alpha) Gamma(1 - 1/alpha);
     alpha == 1: the two-piece integral equals L (1 - gamma - log L).
+    The alpha > 1 closed form is the growth law of A(n; 1) at n = 1.
     """
     if not (L > 0.0):
         raise DomainError(f"needs L > 0, got {L}")
@@ -229,8 +255,6 @@ def gamma_integral_identity_check(L: float, alpha: float) -> tuple[float, float]
 
         quad = _split_quadrature(head, lambda t: -math.expm1(-L / t))
         return quad, L * (1.0 - np.euler_gamma - math.log(L))
-    if not (alpha > 1.0):
-        raise DomainError(f"needs alpha >= 1, got {alpha}")
-    quad = _split_quadrature(lambda u: -math.expm1(-L * u**alpha) / (u * u),
-                             lambda t: -math.expm1(-L * t**-alpha))
-    return quad, L ** (1.0 / alpha) * math.gamma(1.0 - 1.0 / alpha)
+    closed = _law("mainisdef", math.log(L), alpha, 1.0)  # raises unless alpha > 1
+    return _split_quadrature(lambda u: -math.expm1(-L * u**alpha) / (u * u),
+                             lambda t: -math.expm1(-L * t**-alpha)), closed

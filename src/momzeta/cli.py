@@ -12,9 +12,10 @@ Subcommands
     verify    run the acceptance checks and emit a pass/fail report
 
 Each --dist family reads its own flags, each one required, and no other.
-sum --predict reads a growth law's parameters from the sequence it sums:
-its edge (c, beta) and its decay exponent s = alpha.  --c is an option of
-predict alone, whose kinds each read exactly their own flags.
+sum --predict reads a growth law's (L, alpha) from the tail m_j ~ L j^(-alpha)
+of the sequence it sums, and refuses a kind that does not fit it at that
+--kmin.  --c is an option of predict alone, whose kinds each read exactly
+their own flags.
 
 Reports are JSON ({"schema": 1, "config": ..., "results": ...}) or CSV with
 fixed headers.  Numbers carry 17 significant digits, so a given config and
@@ -39,7 +40,7 @@ from .dist_core import (
     load_tabulated_csv,
     moment_sequence,
 )
-from .errors import Divergence, MomentZetaError
+from .errors import Divergence, DomainError, MomentZetaError
 from .game_sim import GameParams
 from .moment_zeta import moment_zeta as _moment_zeta_sum
 
@@ -250,23 +251,24 @@ def _cmd_moments(args, parser) -> int:
 
 
 def _cmd_sum(args, parser) -> int:
-    source = _build_source(args, parser)
-    ms = moment_sequence(source)
+    ms = moment_sequence(_build_source(args, parser))
     ns = _parse_list(args.n, parser, "--n", int)
-    # a growth law reads its parameters from the summed sequence: the edge
-    # (c, beta) and s = alpha of its form
-    law = {"s": ms.power_law.alpha}
-    reads = binom_sums.PREDICTION_KINDS.get(args.predict, ())
-    if "c" in reads:
-        law["c"], law["beta"] = source.edge_params()
-    law = {f: law[f] for f in reads}
+    preds = [None] * len(ns)
+    if args.predict is not None:
+        # the growth law reads (L, alpha) from the summed sequence's form; a
+        # kind that does not fit it is refused before anything is summed
+        try:
+            law = binom_sums.sequence_law(args.predict, ms.power_law, args.kmin)
+            preds = [law(n) for n in ns]
+        except DomainError as exc:
+            parser.error(f"--predict {exc}")
     if args.method == "naive":
         naive = _FAMILIES[args.dist].naive
         if naive is None:
             parser.error(f"--method naive has no oracle for --dist {args.dist}")
         zeta_source = naive(args)
     rows = []
-    for n in ns:
+    for n, pred in zip(ns, preds):
         if args.method == "stable":
             res = binom_sums.alt_sum_stable(ms, n, kmin=args.kmin, tol=args.tol)
             value, tail_bound, terms = res.value, res.tail_bound, res.terms_used
@@ -274,12 +276,8 @@ def _cmd_sum(args, parser) -> int:
             value = binom_sums.alt_sum_naive(n, args.kmin, zeta_source)
             tail_bound, terms = 0.0, n - args.kmin + 1
         _warn_if_missed(f"sum n={n}", tail_bound, args.tol)
-        pred = residual = None
-        if args.predict is not None:
-            pred = binom_sums.predict(args.predict, n, **law).value
-            # mainisdef and riemann_scaled predict the magnitude of a negative sum
-            magnitude = args.predict in ("mainisdef", "riemann_scaled")
-            residual = (abs(value) if magnitude else value) - pred
+        # a kmin 1 law predicts the magnitude of a negative sum
+        residual = None if pred is None else (abs(value) if args.kmin == 1 else value) - pred
         rows.append({"n": n, "value": value, "prediction": pred, "residual": residual,
                      "tail_bound": tail_bound, "terms_used": terms})
     config = {
@@ -298,7 +296,7 @@ def _cmd_sum(args, parser) -> int:
 
 def _cmd_predict(args, parser) -> int:
     _check_reads(args, parser, f"predict --kind {args.kind}",
-                 binom_sums.PREDICTION_KINDS[args.kind], ("beta", "c", "s"))
+                 binom_sums.PREDICTION_KINDS[args.kind].reads, ("beta", "c", "s"))
     pred = binom_sums.predict(args.kind, args.n, c=args.c, beta=args.beta, s=args.s)
     config = {"command": "predict", "kind": args.kind, "n": args.n,
               "c": args.c, "beta": args.beta, "s": args.s}

@@ -109,13 +109,6 @@ class EdgeDistribution:
         """Vectorized m_k over an integer array k >= 1."""
         raise NotImplementedError
 
-    def edge_params(self) -> tuple[float, float]:
-        """(c, beta) of the density near x = 1: (L/Gamma(alpha), alpha - 1) of its form."""
-        pl = self.power_law_form()
-        if pl is None:
-            raise TailUnavailable(f"{self.family} distribution has no power-law form")
-        return (pl.L / math.gamma(pl.alpha), pl.alpha - 1.0)
-
     def power_law_form(self) -> PowerLawForm | None:
         return None
 
@@ -149,7 +142,7 @@ class BetaEdge(EdgeDistribution):
     """Density f(x) = c (1-x)^beta on [0, 1], beta >= 0.
 
     Mass 1 fixes c = beta + 1, so c is derived, never passed: the attribute
-    holds beta + 1 exactly, and (c, beta) is the edge of the power-law form.
+    holds beta + 1 exactly, and the power-law form has L = c Gamma(beta+1).
     """
 
     beta: float
@@ -197,9 +190,6 @@ class BetaEdge(EdgeDistribution):
         return self.c * np.exp(
             gammaln(self.beta + 1.0) + gammaln(k + 1.0) - gammaln(k + self.beta + 2.0)
         )
-
-    def edge_params(self) -> tuple[float, float]:
-        return (self.c, self.beta)
 
     def power_law_form(self) -> PowerLawForm:
         try:
@@ -408,14 +398,6 @@ class PowerMoments:
 
     def moments(self, j) -> np.ndarray:
         return np.asarray(j, dtype=np.float64) ** (-self.s)
-
-    def edge_params(self) -> tuple[float, float]:
-        """(1/Gamma(s), s - 1): the density edge (c, beta) whose moments decay like j^(-s).
-
-        1/Gamma(s) is taken in logs: where Gamma(s) overflows (s > 171.6) it underflows
-        towards 0 instead.
-        """
-        return (math.exp(-math.lgamma(self.s)), self.s - 1.0)
 
 
 class MomentSequence:

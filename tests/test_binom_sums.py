@@ -12,6 +12,7 @@ from momzeta.binom_sums import (
     predict,
     riemann_zeta_source,
     scaled_riemann_zeta_source,
+    sequence_law,
     uniform_zeta_source,
 )
 from momzeta.dist_core import BetaEdge, PowerMoments, TabulatedDensity, Uniform, moment_sequence
@@ -338,6 +339,35 @@ def test_predict_domain_errors():
         predict("riemann", 0.5)
     with pytest.raises(ValueError):
         predict("nonsense", 100)
+    # a non-finite L, alpha or n has no value
+    for kind, n, params in [("mainisdef", 100, {"c": 2.0, "beta": math.inf}),
+                            ("mainisdef", 100, {"c": math.inf, "beta": 1.0}),
+                            ("riemann_scaled", 100, {"s": math.inf}),
+                            ("riemann", 1e400, {}),
+                            ("alpha1", 100, {"c": math.nan}),
+                            ("alpha1", 100, {"c": 0.0})]:
+        with pytest.raises(DomainError):
+            predict(kind, n, **params)
+
+
+def test_sequence_law_is_the_predict_law():
+    # the law a sum reads from its sequence's form is the one predict evaluates
+    n = 1e4
+    cases = [("mainisdef", moment_sequence(BetaEdge(beta=1.0)), 1, {"c": 2.0, "beta": 1.0}),
+             ("riemann_scaled", moment_sequence(PowerMoments(3.0)), 1, {"s": 3.0}),
+             ("alpha1", moment_sequence(Uniform()), 2, {"c": 1.0}),
+             ("riemann", riemann_ms(), 2, {})]
+    for kind, ms, kmin, params in cases:
+        law = sequence_law(kind, ms.power_law, kmin)
+        assert law(n) == pytest.approx(predict(kind, n, **params).value, rel=1e-15)
+    # elsewhere the kind does not apply: another kmin, riemann on another
+    # sequence, or an alpha outside the law's range
+    for kind, ms, kmin in [("mainisdef", riemann_ms(), 2), ("alpha1", riemann_ms(), 1),
+                           ("riemann", moment_sequence(Uniform()), 2),
+                           ("alpha1", moment_sequence(BetaEdge(beta=1.0)), 2),
+                           ("mainisdef", moment_sequence(Uniform()), 1)]:
+        with pytest.raises(DomainError):
+            sequence_law(kind, ms.power_law, kmin)(n)
 
 
 # ---------------------------------------------------------------------------

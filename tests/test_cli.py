@@ -329,13 +329,27 @@ _NO_C = "unrecognized arguments: --c"
     (["sum", "--dist", "riemann", "--n", "10", "--predict", "riemann_scaled", "--s", "2"],
      "--dist riemann takes no --s"),
     (["moments", "--dist", "uniform", "--beta", "3"], "--dist uniform takes no --beta"),
+    # a sum --predict kind applies only at its kmin and to the tails its law fits
+    (["sum", "--dist", "beta", "--beta", "1", "--kmin", "2", "--n", "100", "--predict", "alpha1"],
+     "alpha1 needs a finite L > 0, alpha = 1 and a finite n >= 1, "
+     "got log L=0.6931471805599453, alpha=2.0, n=100"),
+    (["sum", "--dist", "uniform", "--kmin", "2", "--n", "100", "--predict", "riemann"],
+     "riemann predicts m_j = 1/j only, not L=1, alpha=1, shift=1"),
+    (["sum", "--dist", "beta", "--beta", "2", "--kmin", "1", "--n", "100", "--predict", "riemann"],
+     "riemann predicts A(n; 2), not A(n; 1)"),
+    (["sum", "--dist", "beta", "--beta", "2", "--kmin", "2", "--n", "100", "--predict",
+      "mainisdef"], "mainisdef predicts A(n; 1), not A(n; 2)"),
+    (["sum", "--dist", "riemann", "--kmin", "2", "--n", "100", "--predict", "mainisdef"],
+     "mainisdef predicts A(n; 1), not A(n; 2)"),
 ], ids=["moments-uniform", "zeta-riemann", "zeta-beta", "zeta-scaled", "sum", "sum-alpha1",
         "sum-riemann", "simulate", "beta-c", "tabulated-c-beta", "predict-beta-c",
         "predict-tabulated-c", "predict-uniform-c-beta", "predict-riemann-c",
-        "predict-scaled-c-beta", "predict-riemann-s", "moments-uniform-beta"])
+        "predict-scaled-c-beta", "predict-riemann-s", "moments-uniform-beta",
+        "alpha1-at-alpha2", "riemann-on-uniform", "riemann-at-kmin1", "mainisdef-at-kmin2",
+        "mainisdef-on-riemann"])
 def test_flags_the_family_does_not_read_are_usage_errors(capsys, argv, error):
-    # each --dist family reads its own parameters, and no other command than
-    # predict has --c
+    # each --dist family reads its own parameters, no other command than
+    # predict has --c, and a sum --predict kind must fit the summed sequence
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -382,22 +396,23 @@ def _sum_rows(capsys, *argv):
 
 
 def test_sum_predictors_read_the_sequence_law(capsys):
-    # j^(-2) has the edge (c, beta) = (1/Gamma(2), 1), so mainisdef is Gamma(1/2) n^(1/2),
-    # the riemann_scaled law at s = alpha = 2
+    # j^(-2) has (L, alpha) = (1, 2), so mainisdef is Gamma(1/2) n^(1/2), the
+    # riemann_scaled law at s = alpha = 2
     argv = ("--dist", "riemann-scaled", "--s", "2", "--n", "10,1000,100000")
     main_term = _sum_rows(capsys, *argv, "--predict", "mainisdef")
     scaled = _sum_rows(capsys, *argv, "--predict", "riemann_scaled")
     for a, b in zip(main_term, scaled):
         assert a["prediction"] == pytest.approx(b["prediction"], rel=1e-15)
         assert a["value"] == b["value"]
-    # 1/j has c = 1/Gamma(1) = 1, so alpha1 predicts n log n
+    # 1/j has L = 1, so alpha1 predicts n log n
     for row in _sum_rows(capsys, "--dist", "riemann", "--kmin", "2", "--n", "10,1000",
                          "--predict", "alpha1"):
         assert row["prediction"] == pytest.approx(row["n"] * math.log(row["n"]), rel=1e-15)
-    # s = 200, past where Gamma(s) overflows: riemann_scaled reads s = alpha alone
-    (row,) = _sum_rows(capsys, "--dist", "riemann-scaled", "--s", "200", "--n", "10",
-                       "--predict", "riemann_scaled")
-    assert row["prediction"] == pytest.approx(math.gamma(1.0 - 1.0 / 200) * 10 ** (1.0 / 200))
+    # s = 200, past where Gamma(s) overflows: both laws read (L, alpha) = (1, 200)
+    for kind in ("riemann_scaled", "mainisdef"):
+        (row,) = _sum_rows(capsys, "--dist", "riemann-scaled", "--s", "200", "--n", "10",
+                           "--predict", kind)
+        assert row["prediction"] == pytest.approx(math.gamma(1.0 - 1.0 / 200) * 10 ** (1.0 / 200))
 
 
 @pytest.mark.parametrize("argv", [

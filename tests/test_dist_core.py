@@ -201,7 +201,8 @@ def test_beta_edge_stores_c_as_beta_plus_one():
         assert BetaEdge(beta).c == beta + 1.0
     dist = BetaEdge(beta=1)
     assert dist.c == 2.0
-    assert dist.edge_params() == (2.0, 1.0)
+    pl = moment_sequence(dist).power_law
+    assert (pl.L, pl.alpha) == (2.0, 2.0)  # L = c Gamma(beta+1)
     k = np.array([1.0, 7.0, 1e4, 1.6e7])
     assert dist.moments(k).tobytes() == (2.0 / ((k + 1.0) * (k + 2.0))).tobytes()
 
@@ -224,23 +225,22 @@ def test_tail_models():
 
 
 def test_table_edge_is_derived_from_its_last_segment():
-    # no edge= needed: (c, beta) is (L/Gamma(alpha), alpha - 1) of the form
+    # no edge= needed: (L, alpha) of the form comes from the last segment
+    def law(source):
+        pl = moment_sequence(source).power_law
+        return pl.L, pl.alpha
+
     tab2 = TabulatedDensity([0.0, 1.0], [1.5, 0.5])
-    assert tab2.edge_params() == (0.5, 0.0)
+    assert law(tab2) == (0.5, 1.0)
     tab21 = _tab21()
-    assert tab21.edge_params() == (tab21.f[-2] / (1.0 - tab21.x[-2]), 1.0)
-    assert Uniform().edge_params() == (1.0, 0.0)
-    assert BetaEdge(beta=2.5).edge_params() == (3.5, 2.5)
-    # j^(-s) has the edge (1/Gamma(s), s - 1) of the same law, L = 1 and alpha = s,
-    # still finite where Gamma(s) overflows
-    assert PowerMoments(1.0).edge_params() == (1.0, 0.0)
-    assert PowerMoments(3.0).edge_params() == pytest.approx((0.5, 2.0), rel=1e-15)
-    c, beta = PowerMoments(175.0).edge_params()
-    assert beta == 174.0 and c == pytest.approx(float(1 / mpmath.gamma(175)), rel=1e-6)
-    # a zero last segment decays faster than any power: no form, no edge
+    assert law(tab21) == (tab21.f[-2] / (1.0 - tab21.x[-2]), 2.0)
+    assert law(Uniform()) == (1.0, 1.0)
+    assert law(BetaEdge(beta=2.5)) == (3.5 * math.gamma(3.5), 3.5)
+    # j^(-s) has L = 1 and alpha = s, also where Gamma(s) overflows
+    for s in (1.0, 3.0, 175.0):
+        assert law(PowerMoments(s)) == (1.0, s)
+    # a zero last segment decays faster than any power: no form
     flat_end = TabulatedDensity([0.0, 0.5, 0.75, 1.0], [2.0, 2.0, 0.0, 0.0], normalize=True)
-    with pytest.raises(TailUnavailable):
-        flat_end.edge_params()
     with pytest.raises(TailUnavailable):
         moment_sequence(flat_end)
 
@@ -536,8 +536,8 @@ def test_csv_roundtrip(tmp_path):
         0.5 / 2.0 + 2.0 * 0.5 / (2.0 * 3.0), rel=1e-13
     )
     # the edge comes from the last segment alone: the loader takes no edge
-    assert moment_sequence(dist).power_law.L == pytest.approx(0.5, rel=1e-12)
-    assert dist.edge_params() == (0.5, 0.0)
+    pl = moment_sequence(dist).power_law
+    assert (pl.L, pl.alpha) == (0.5, 1.0)
     with pytest.raises(TypeError):
         load_tabulated_csv(str(path), edge=(0.5, 0.0))
     with pytest.raises(TypeError):
