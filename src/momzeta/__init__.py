@@ -26,7 +26,6 @@ from .dist_core import (
     TabulatedDensity,
     Uniform,
     load_tabulated_csv,
-    moment_quadrature,
     moment_sequence,
     riemann_sequence,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "expected_rounds",
     "gamma_integral_identity_check",
     "load_tabulated_csv",
-    "moment_quadrature",
     "moment_sequence",
     "moment_zeta",
     "paper_T_inclusion_exclusion",

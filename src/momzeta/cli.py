@@ -358,11 +358,9 @@ def _cmd_identity(args, parser) -> int:
     alphas = _parse_list(args.alpha_grid, parser, "--alpha-grid")
     rows = []
     for length in ls:
-        for alpha in alphas:
+        for variant, alpha in [*(("power", a) for a in alphas), ("log", 1.0)]:
             quad, closed = binom_sums.gamma_integral_identity_check(length, alpha)
-            rows.append(("power", length, alpha, quad, closed, abs(quad - closed)))
-        quad, closed = binom_sums.gamma_integral_identity_check(length, 1.0)
-        rows.append(("log", length, 1.0, quad, closed, abs(quad - closed)))
+            rows.append((variant, length, alpha, quad, closed, abs(quad - closed)))
     text = _csv_text(
         ("variant", "L", "alpha", "quadrature", "closed_form", "abs_diff"), rows
     )

@@ -5,7 +5,8 @@ Three density families are supported:
 * ``Uniform`` -- f(x) = 1, moments m_k = 1/(k+1);
 * ``BetaEdge`` -- f(x) = c (1-x)^beta with c = beta+1 so the mass is 1,
   moments m_k = c B(k+1, beta+1); for integer beta this is the rational
-  m_k = prod_{i=1}^{beta+1} i/(k+i), otherwise it goes through log-gammas;
+  m_k = prod_{i=1}^{beta+1} i/(k+i), otherwise an exact ratio for small k
+  and past it an expansion in even powers of 1/(k + beta/2 + 1);
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
   integrated exactly segment by segment; once x^(k+1) underflows at every
   node but the last, the sum is the last segment's f[-1]/(k+2) + A/((k+1)(k+2))
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvalidTail, QuadratureFailure, TailUnavailable
+from .errors import DomainError, InvalidTail, TailUnavailable
 
 __all__ = [
     "EdgeDistribution",
@@ -42,7 +43,6 @@ __all__ = [
     "PowerMoments",
     "PowerLawForm",
     "MomentSequence",
-    "moment_quadrature",
     "moment_sequence",
     "load_tabulated_csv",
 ]
@@ -87,6 +87,31 @@ def _beta_gap(beta: float) -> Callable[[float], float]:
     kappa = alpha * (alpha * alpha - 1.0) / 24.0
     c4 = (a**4 + b**4 + alpha) / 4.0
     return lambda J: kappa / (J + b) ** 2 + c4 / (3.0 * (1.0 - b / (J + 1.0 + b)) * (J + b) ** 3)
+
+
+@lru_cache(maxsize=64)
+def _beta_midpoint(beta: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """(m_k for k < k0, c_3, c_5, ...): m_k = prod_{i<=k} i/(i+beta+1) rounded once below
+    k0 = max(24, 3 beta), and past it log(Gamma(k+1)/Gamma(k+beta+2)) = -(beta+1) log w +
+    sum_r c_r w^(1-r), w = k+beta/2+1 the midpoint of the arguments, c_r = -2 B_r(-beta/2)/
+    (r(r-1)) for odd r >= 3 (DLMF 5.11.8; even r cancel), until a term is below 2^-64 at k0.
+    c_3 is _beta_gap's kappa."""
+    from fractions import Fraction
+
+    k0, (p, q) = max(24, math.ceil(3.0 * beta)), beta.as_integer_ratio()
+    num, den, table = 1, 1, [1.0]
+    for i in range(1, k0):
+        num, den = num * i * q, den * ((i + 1) * q + p)
+        table.append(num / den)  # int / int rounds once
+    bern, coeffs, x = [Fraction(1)], [], Fraction(-p, 2 * q)
+    for r in range(1, 64):
+        bern.append(-sum(math.comb(r + 1, j) * bern[j] for j in range(r)) / (r + 1))
+        if r % 2 and r > 1:
+            b_r = sum(math.comb(r, j) * bern[j] * x ** (r - j) for j in range(r + 1))
+            coeffs.append(float(-2 * b_r / (r * (r - 1))))
+            if abs(coeffs[-1]) * (k0 + beta / 2.0 + 1.0) ** (1 - r) < 2.0**-64:
+                break
+    return tuple(table), tuple(coeffs)  # immutable: the cache shares them
 
 
 class EdgeDistribution:
@@ -143,6 +168,7 @@ class BetaEdge(EdgeDistribution):
 
     Mass 1 fixes c = beta + 1, so c is derived, never passed: the attribute
     holds beta + 1 exactly, and the power-law form has L = c Gamma(beta+1).
+    Other beta take ``_beta_midpoint``, or raise DomainError if Gamma(beta+2) overflows.
     """
 
     beta: float
@@ -183,13 +209,24 @@ class BetaEdge(EdgeDistribution):
             for i in range(1, int(n) + 1, 2):
                 m = m * (i * (i + 1.0) / ((k + i) * (k + i + 1.0)) if i < n else i / (k + i))
             return m
-        # m_k = c * B(k+1, beta+1), evaluated through log-gammas so large k
-        # neither overflows nor loses the leading behaviour.
-        from scipy.special import gammaln
-
-        return self.c * np.exp(
-            gammaln(self.beta + 1.0) + gammaln(k + 1.0) - gammaln(k + self.beta + 2.0)
-        )
+        # m_k = Gamma(beta+2) w^(-beta)/w e^eps, w^(-beta) a square so it underflows no sooner
+        # than m_k; the rounding of w = (k+1) + beta/2, exact by Fast2Sum, enters eps
+        L, (table, coeffs) = self.power_law_form().L, _beta_midpoint(self.beta)
+        k = np.atleast_1d(k)
+        k1, a = np.maximum(k, len(table)) + 1.0, self.beta / 2.0
+        w = k1 + a
+        y = (1.0 / w) ** 2
+        eps = coeffs[-1] * y
+        for c in coeffs[-2::-1]:  # Horner's rule in y, in place
+            eps += c
+            eps *= y
+        eps += (self.beta + 1.0) * (w - k1 - a) / w
+        m = w**-a
+        m *= m * L
+        m *= np.exp(eps, out=eps) / w
+        small = k < len(table)
+        m[small] = np.take(table, k[small].astype(np.int64))
+        return m
 
     def power_law_form(self) -> PowerLawForm:
         try:
@@ -425,40 +462,6 @@ class MomentSequence:
 
     def moment(self, j: int) -> float:
         return float(self.moments(np.array([j]))[0])
-
-
-def _check_order(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"moment order must be an integer >= 1, got {k!r}")
-
-
-def moment_quadrature(dist: EdgeDistribution, k: int, tol: float = 1e-12) -> float:
-    """k-th moment by adaptive quadrature; the independent cross-check path.
-
-    Integrates int_0^1 (1-u)^k f(1-u) du after the substitution u = 1-x, with
-    a graded knot list near u = 0 so the edge behaviour (1-x)^beta and the
-    x^k concentration are both resolved.
-    """
-    _check_order(k)
-    from scipy import integrate
-
-    def integrand(u: float) -> float:
-        return (1.0 - u) ** k * float(dist.pdf(np.array([1.0 - u]))[0])
-
-    knots = [2.0**-m for m in range(40, 1, -3)]
-    knots += [0.1 / (k + 1.0), 1.0 / (k + 1.0), min(10.0 / (k + 1.0), 0.9)]
-    points = sorted({p for p in knots if 0.0 < p < 1.0})
-    with warnings.catch_warnings():
-        # subdivision-limit warnings surface as QuadratureFailure below
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, err = integrate.quad(
-            integrand, 0.0, 1.0, points=points, limit=400, epsabs=tol * 0.1, epsrel=1e-13
-        )
-    if err > max(tol, 1e-15):
-        raise QuadratureFailure(
-            f"moment quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}"
-        )
-    return value
 
 
 def _spot_check(seq: MomentSequence, provenance: str) -> None:

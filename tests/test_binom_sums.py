@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -15,7 +16,14 @@ from momzeta.binom_sums import (
     sequence_law,
     uniform_zeta_source,
 )
-from momzeta.dist_core import BetaEdge, PowerMoments, TabulatedDensity, Uniform, moment_sequence
+from momzeta.dist_core import (
+    BetaEdge,
+    MomentSequence,
+    PowerMoments,
+    TabulatedDensity,
+    Uniform,
+    moment_sequence,
+)
 from momzeta.errors import Divergence, DomainError, PrecisionExhausted
 from momzeta.euler_maclaurin import defect_dnform
 from momzeta.moment_zeta import moment_zeta
@@ -285,6 +293,62 @@ def test_generic_truncation_meets_tol(run, tol):
     assert run().tail_bound <= tol
 
 
+def _reference_beta_moments(beta, last):
+    """m_0..m_last of BetaEdge(beta): the longdouble recurrence m_k = m_(k-1) k/(k+beta+1),
+    re-anchored every 4096 k on Gamma(beta+2) Gamma(k+1)/Gamma(k+beta+2) at 40 digits."""
+    out = np.empty(last + 1, dtype=np.longdouble)
+    for lo in range(0, last + 1, 4096):
+        with mpmath.workdps(40):
+            b = mpmath.mpf(beta)
+            anchor = mpmath.exp(mpmath.loggamma(b + 2) + mpmath.loggamma(lo + 1)
+                                - mpmath.loggamma(lo + b + 2))
+            out[lo] = np.longdouble(mpmath.nstr(anchor, 25))
+        k = np.arange(lo + 1, min(lo + 4096, last + 1), dtype=np.longdouble)
+        out[lo + 1 : lo + 1 + k.size] = out[lo] * np.cumprod(k / (k + np.longdouble(beta) + 1))
+    return out.astype(np.float64)
+
+
+def _differential_cases():
+    # three rows the log-gamma moments missed by 151x, 4.7x and 2.0x, two
+    # they met, then seeded non-integer beta in (0, 8) at kmin 1 and 2 and
+    # Z(s) within 1.2-1.5 times the abscissa
+    cases = [pytest.param("alt", 0.5, 10**6, 1, 1e-9, id="alt-b0.5-n1e6-k1"),
+             pytest.param("alt", 0.5, 10**7, 1, 1e-6, id="alt-b0.5-n1e7-k1"),
+             pytest.param("zeta", 2.5, 0.3, None, 1e-10, id="zeta-b2.5-s0.3"),
+             pytest.param("zeta", 0.5, 0.7, None, 1e-10, id="zeta-b0.5-s0.7"),
+             pytest.param("alt", 0.5, 10**6, 2, 1e-9, id="alt-b0.5-n1e6-k2")]
+    rng = np.random.default_rng(27)
+    for i in range(8):
+        beta, tol = float(rng.uniform(0.0, 8.0)), float(10.0 ** -rng.uniform(6.0, 10.0))
+        n = int(10.0 ** rng.uniform(3.0, 7.0))
+        cases.append(pytest.param("alt", beta, n, 1 + i % 2, tol, id=f"seeded-alt-{i}"))
+    for i in range(2):
+        beta = float(rng.uniform(0.0, 8.0))
+        s = float(rng.uniform(1.2, 1.5)) / (beta + 1.0)
+        cases.append(pytest.param("zeta", beta, s, None, 1e-10, id=f"seeded-zeta-{i}"))
+    return cases
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference moments need an extended longdouble")
+@pytest.mark.parametrize("kind, beta, arg, kmin, tol", _differential_cases())
+def test_non_integer_beta_moment_error_within_tail_bound(kind, beta, arg, kmin, tol):
+    # the same engine at the same J, once on the package's moments and once
+    # on reference moments: the moments' own error must fit in the bound
+    ms = moment_sequence(BetaEdge(beta=beta))
+
+    def run(seq, terms=None):
+        if kind == "zeta":
+            return moment_zeta(seq, arg, tol=tol, terms=terms)
+        return alt_sum_stable(seq, arg, kmin=kmin, tol=tol, terms=terms)
+
+    res = run(ms)
+    ref = _reference_beta_moments(beta, res.terms_used)
+    other = run(MomentSequence(lambda j: ref[j.astype(np.int64)], ms.power_law),
+                terms=res.terms_used)
+    assert abs(res.value - other.value) <= res.tail_bound
+
+
 def test_stable_validates_arguments():
     with pytest.raises(ValueError):
         alt_sum_stable(riemann_ms(), 10, kmin=3)
@@ -345,7 +409,10 @@ def test_predict_domain_errors():
                             ("riemann_scaled", 100, {"s": math.inf}),
                             ("riemann", 1e400, {}),
                             ("alpha1", 100, {"c": math.nan}),
-                            ("alpha1", 100, {"c": 0.0})]:
+                            ("alpha1", 100, {"c": 0.0}),
+                            # finite inputs whose law overflows a float
+                            ("alpha1", 1e10, {"c": 1e308}),
+                            ("mainisdef", 1e300, {"c": 1e300, "beta": 0.01})]:
         with pytest.raises(DomainError):
             predict(kind, n, **params)
 
@@ -390,6 +457,17 @@ def test_identity_log_form():
     quad, closed = gamma_integral_identity_check(0.5, 1.0)
     assert closed == pytest.approx(0.5 * (1.0 - np.euler_gamma - math.log(0.5)), rel=1e-13)
     assert abs(quad - closed) <= 1e-8
+
+
+def test_identity_grid_within_window_of_closed_form():
+    # the Gauss-Legendre panels reach alpha -> 1 (the u^(alpha-2) end is
+    # integrated in closed form) and alpha = 50 (a steep exp near u = 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for L in (0.01, 0.5, 1.0, 2.0, 100.0):
+            for alpha in (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0):
+                quad, closed = gamma_integral_identity_check(L, alpha)
+                assert abs(quad - closed) <= 1e-6, (L, alpha)
 
 
 def test_identity_domain():

@@ -70,6 +70,13 @@ def test_non_numeric_exponent_is_numeric_failure(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_predict_overflow_is_numeric_failure(capsys):
+    # finite flags whose growth law overflows a float have no value to print
+    code, out, err = run_cli(capsys, "predict", "--kind", "alpha1", "--c", "1e308", "--n", "1e10")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "overflows" in err
+
+
 def test_zeta_value(capsys):
     code, out, _ = run_cli(capsys, "zeta", "--dist", "riemann", "--s-eval", "2")
     assert code == 0
@@ -517,12 +524,15 @@ def test_game_simulate_random_p(capsys):
 
 
 # ---------------------------------------------------------------------------
-# import budget: scipy and mpmath load only in the functions that use them
+# import budget: mpmath loads only in the functions that use it, and the
+# runtime needs no scipy at all
 # ---------------------------------------------------------------------------
 
 _HEAVY_PROBE = """
 import contextlib, io, json, sys
 import momzeta, momzeta.cli
+# the non-integer beta coefficients take their rationals on first use
+assert not {"fractions", "decimal"} & set(sys.modules)
 code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
@@ -542,8 +552,8 @@ print(json.dumps([code, sorted(m for m in ("scipy", "mpmath") if m in sys.module
         (["dn", "--n", "10,100"], []),
         (["verify", "--criteria", "5", "--seed", "1"], []),
         (["sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-3"], []),
-        (["sum", "--dist", "beta", "--beta", "2.5", "--n", "100", "--tol", "1e-3"], ["scipy"]),
-        (["verify", "--criteria", "10", "--seed", "1"], ["scipy"]),
+        (["sum", "--dist", "beta", "--beta", "2.5", "--n", "100", "--tol", "1e-3"], []),
+        (["verify", "--criteria", "10", "--seed", "1"], []),
         (["sum", "--dist", "riemann", "--method", "naive", "--n", "10", "--kmin", "2"], ["mpmath"]),
     ],
     ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify", "sum-beta",
@@ -559,6 +569,37 @@ def test_heavy_imports_load_on_demand(argv, loaded):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, loaded]
+
+
+_NO_SCIPY_PROBE = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None  # any scipy import raises ImportError
+import momzeta.cli
+beta = ["--dist", "beta", "--beta", "2.5"]
+runs = {}
+for argv in (["verify", "--seed", "1"], ["identity"], ["zeta", *beta, "--s-eval", "1"],
+             ["moments", *beta], ["sum", *beta, "--n", "100,10000", "--tol", "1e-6"],
+             ["game", "simulate", *beta, "--n-sets", "20", "--trials", "4096", "--seed", "1"]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        runs[argv[0]] = [momzeta.cli.main(argv), out.getvalue()]
+print(json.dumps(runs))
+"""
+
+
+def test_runtime_needs_no_scipy():
+    # numpy and mpmath are the only runtime dependencies: every command that
+    # once reached scipy (non-integer beta moments, the identity quadrature)
+    # runs with scipy unimportable
+    paths = [os.path.dirname(os.path.dirname(momzeta.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_PROBE], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    runs = json.loads(proc.stdout)
+    assert {cmd: code for cmd, (code, _) in runs.items()} == dict.fromkeys(runs, 0)
+    criteria = json.loads(runs["verify"][1])["results"]["criteria"]
+    assert [c["passed"] for c in criteria] == [True] * 11
 
 
 def test_zeta_sources_build_without_mpmath():
