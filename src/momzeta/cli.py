@@ -32,7 +32,7 @@ import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from . import acceptance, binom_sums, euler_maclaurin, game_sim
+from . import binom_sums, euler_maclaurin, game_sim
 from .dist_core import (
     BetaEdge,
     PowerMoments,
@@ -369,6 +369,8 @@ def _cmd_identity(args, parser) -> int:
 
 
 def _cmd_verify(args, parser) -> int:
+    from . import acceptance
+
     seed = _resolve_seed(args)
     only = args.criteria.split(",") if args.criteria else None
     results = acceptance.run_all(seed=seed, only=only)

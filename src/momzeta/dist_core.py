@@ -8,9 +8,9 @@ Three density families are supported:
   m_k = prod_{i=1}^{beta+1} i/(k+i), otherwise an exact ratio for small k
   and past it an expansion in even powers of 1/(k + beta/2 + 1);
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
-  integrated exactly segment by segment; once x^(k+1) underflows at every
-  node but the last, the sum is the last segment's f[-1]/(k+2) + A/((k+1)(k+2))
-  (f = A + B x there, and x[-1] = 1).
+  by parts, f[-1]/(k+2) + (A + sum_i D_i x_i^(k+2))/((k+1)(k+2)) with D_i the
+  slope jump at node i and f = A + B x on the last segment; J moments take
+  sum_i min(J, 762/(-log x_i)) pows (2001 nodes, J = 50,566: 0.14 s).
 
 A sequence's tail is described once, by its ``PowerLawForm``
 m_j ~ L (j+shift)^(-alpha) with a proven gap on its log-ratio to m_j; the
@@ -360,28 +360,23 @@ class TabulatedDensity(EdgeDistribution):
         return x.reshape(u.shape)
 
     def moments(self, k) -> np.ndarray:
-        # On each segment f(x) = A + B x, so int x^k f dx integrates exactly:
-        # A (x1^(k+1) - x0^(k+1))/(k+1) + B (x1^(k+2) - x0^(k+2))/(k+2).
-        # Once x^(k+1) underflows to 0 at every node but the last, the other
-        # segments add only +-0, so the sum is the last segment's term alone,
-        # A/(k+1) + B/(k+2) with x[-1] = 1, taken as f[-1]/(k+2) + A/((k+1)(k+2))
-        # so the two terms cannot cancel when f[-1] is small; rows over every
-        # segment are built only for the k before that point.
+        # By parts twice, f'' being the slope jumps D_i at the interior nodes:
+        # m_k = f[-1]/(k+2) + (A + sum_i D_i x_i^(k+2))/((k+1)(k+2)), f = A + B x
+        # on the last segment.  Node i takes a pow only for the sorted k before
+        # (k+2) log x_i passes _LOG_UNDERFLOW; past every cut the sum is empty,
+        # and the closed form's terms cannot cancel when f[-1] is small.
         k = np.atleast_1d(np.asarray(k, dtype=np.float64))
-        x0, x1, A, B = self.x[:-1], self.x[1:], self._A, self._B
-        out = self.f[-1] / (k + 2.0) + A[-1] / ((k + 1.0) * (k + 2.0))
-        with np.errstate(divide="ignore"):
-            near = (k + 1.0) * np.log(np.max(np.abs(x0))) > _LOG_UNDERFLOW
-        kn = k[near]
-        rows = np.empty(kn.shape, dtype=np.float64)
-        chunk = max(1, (1 << 20) // self.x.size)
-        for lo in range(0, kn.size, chunk):
-            kk = kn[lo : lo + chunk, None]
-            p1 = np.power(x1[None, :], kk + 1.0) - np.power(x0[None, :], kk + 1.0)
-            p2 = np.power(x1[None, :], kk + 2.0) - np.power(x0[None, :], kk + 2.0)
-            rows[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
-        out[near] = rows
-        return out
+        x, jumps, top = self.x[1:-1], np.diff(self._B), self._A[-1]
+        cuts = _LOG_UNDERFLOW / np.log(x)  # the k + 2 where x^(k+2) reaches 2^-1100
+        live = (jumps != 0.0) & (cuts > k.min(initial=math.inf) + 2.0)
+        if live.any():
+            order = np.argsort(k, kind="stable")
+            k2 = k[order] + 2.0
+            top = np.full(k.shape, top)
+            for xi, d, m in zip(x[live], jumps[live], np.searchsorted(k2, cuts[live])):
+                top[:m] += d * xi ** k2[:m]
+            top[order] = top.copy()
+        return self.f[-1] / (k + 2.0) + top / ((k + 1.0) * (k + 2.0))
 
     def power_law_form(self) -> PowerLawForm:
         """The last segment f = A + B x as the pole part; the other segments go in the gap.

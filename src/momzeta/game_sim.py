@@ -42,7 +42,6 @@ from functools import partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.random import Generator, SeedSequence
 
 from . import binom_sums
 from .dist_core import EdgeDistribution, moment_sequence
@@ -183,9 +182,9 @@ def expected_rounds(params: GameParams, tol: float = 1e-12) -> float:
     return 1.0 + paper_T_series(params, tol=tol).value
 
 
-def _block_rng(seed: int, index: int) -> Generator:
+def _block_rng(seed: int, index: int) -> np.random.Generator:
     """Block ``index``'s PCG64 stream: the seed's low 64 bits, spawned at (index,)."""
-    return np.random.default_rng(SeedSequence(seed & 0xFFFF_FFFF_FFFF_FFFF, spawn_key=(index,)))
+    return np.random.default_rng(np.random.SeedSequence(seed % 2**64, spawn_key=(index,)))
 
 
 def _rounds(log_p: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -204,12 +203,13 @@ def _rounds(log_p: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.ceil(t, out=t)
 
 
-def _games_fixed(log_p: np.ndarray, work: np.ndarray, rng: Generator) -> np.ndarray:
+def _games_fixed(log_p: np.ndarray, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One play per column of work, with the measures whose logs are the column log_p."""
     return _rounds(log_p, rng.random(out=work[0]))
 
 
-def _games_random_p(dist: EdgeDistribution, work: np.ndarray, rng: Generator) -> np.ndarray:
+def _games_random_p(dist: EdgeDistribution, work: np.ndarray,
+                    rng: np.random.Generator) -> np.ndarray:
     """One play per column of work, each with fresh measures from dist (draws of 1.0 redrawn)."""
     p = np.asarray(dist.ppf(rng.random(out=work[0])), dtype=np.float64)
     while True:
@@ -222,7 +222,7 @@ def _games_random_p(dist: EdgeDistribution, work: np.ndarray, rng: Generator) ->
     return _rounds(work[0], rng.random(out=work[1]))
 
 
-def _zeta_draws(dist: EdgeDistribution, work: np.ndarray, rng: Generator) -> np.ndarray:
+def _zeta_draws(dist: EdgeDistribution, work: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw of 1/(1 - x_1 ... x_n) per column of work, the x_i independent from dist."""
     x = np.asarray(dist.ppf(rng.random(out=work[0])), dtype=np.float64)
     d = np.prod(x, axis=0)
@@ -230,7 +230,7 @@ def _zeta_draws(dist: EdgeDistribution, work: np.ndarray, rng: Generator) -> np.
     return np.divide(1.0, d, out=d)
 
 
-Draw = Callable[[np.ndarray, Generator], np.ndarray]
+Draw = Callable[[np.ndarray, "np.random.Generator"], np.ndarray]
 
 
 def _blocks(draw: Draw, slabs: int, n: int, trials: int, seed: int) -> Iterator[np.ndarray]:

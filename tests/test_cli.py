@@ -524,20 +524,23 @@ def test_game_simulate_random_p(capsys):
 
 
 # ---------------------------------------------------------------------------
-# import budget: mpmath loads only in the functions that use it, and the
-# runtime needs no scipy at all
+# import budget: mpmath loads only in the functions that use it, numpy.random
+# only with the first simulation, numpy.polynomial only with the identity
+# quadrature, and the runtime needs no scipy at all
 # ---------------------------------------------------------------------------
 
 _HEAVY_PROBE = """
 import contextlib, io, json, sys
 import momzeta, momzeta.cli
-# the non-integer beta coefficients take their rationals on first use
-assert not {"fractions", "decimal"} & set(sys.modules)
+# the non-integer beta coefficients take their rationals on first use, and
+# the acceptance checks load with verify
+assert not {"fractions", "decimal", "momzeta.acceptance"} & set(sys.modules)
 code = 0
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = momzeta.cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in ("scipy", "mpmath") if m in sys.modules)]))
+heavy = ("scipy", "mpmath", "numpy.random", "numpy.polynomial")
+print(json.dumps([code, sorted(m for m in heavy if m in sys.modules)]))
 """
 
 
@@ -548,16 +551,18 @@ print(json.dumps([code, sorted(m for m in ("scipy", "mpmath") if m in sys.module
         (["predict", "--kind", "riemann", "--n", "5000"], []),
         (["sum", "--dist", "riemann", "--n", "10,1000", "--kmin", "2", "--predict", "riemann"], []),
         (["game", "exact", "--p", "0.5,0.9,0.99"], []),
-        (["game", "simulate", "--p", "0.5,0.9", "--trials", "4096", "--seed", "1"], []),
+        (["game", "simulate", "--p", "0.5,0.9", "--trials", "4096", "--seed", "1"],
+         ["numpy.random"]),
         (["dn", "--n", "10,100"], []),
         (["verify", "--criteria", "5", "--seed", "1"], []),
+        (["verify", "--criteria", "8", "--seed", "1"], ["numpy.random"]),
         (["sum", "--dist", "beta", "--beta", "1", "--n", "100", "--tol", "1e-3"], []),
         (["sum", "--dist", "beta", "--beta", "2.5", "--n", "100", "--tol", "1e-3"], []),
-        (["verify", "--criteria", "10", "--seed", "1"], []),
+        (["verify", "--criteria", "10", "--seed", "1"], ["numpy.polynomial"]),
         (["sum", "--dist", "riemann", "--method", "naive", "--n", "10", "--kmin", "2"], ["mpmath"]),
     ],
-    ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify", "sum-beta",
-         "sum-beta-non-integer", "verify-quadrature", "sum-naive"],
+    ids=["import", "predict", "sum", "game-exact", "game-simulate", "dn", "verify",
+         "verify-simulate", "sum-beta", "sum-beta-non-integer", "verify-quadrature", "sum-naive"],
 )
 def test_heavy_imports_load_on_demand(argv, loaded):
     src = os.path.dirname(os.path.dirname(momzeta.__file__))

@@ -19,6 +19,7 @@ from momzeta.dist_core import (
     moment_sequence,
 )
 from momzeta.errors import InvalidTail, QuadratureFailure, TailUnavailable
+from momzeta.moment_zeta import higham_gamma
 
 
 def moment_quadrature(dist, k, tol=1e-12):
@@ -117,34 +118,48 @@ def test_non_integer_beta_moments_match_mpmath():
         assert _beta_midpoint(beta)[1][0] == pytest.approx(_beta_gap(beta)(J) * (J + b) ** 2, rel=1e-10)
 
 
-def _full_row_sum(dist, k):
-    # every segment's exact integral summed for every k, in 2^20-element chunks
-    x0, x1 = dist.x[:-1], dist.x[1:]
-    f0, f1 = dist.f[:-1], dist.f[1:]
-    B = (f1 - f0) / (x1 - x0)
-    A = f0 - B * x0
-    out = np.empty(k.shape)
-    chunk = max(1, (1 << 20) // dist.x.size)
-    for lo in range(0, k.size, chunk):
-        kk = k[lo : lo + chunk, None]
-        p1 = np.power(x1[None, :], kk + 1.0) - np.power(x0[None, :], kk + 1.0)
-        p2 = np.power(x1[None, :], kk + 2.0) - np.power(x0[None, :], kk + 2.0)
-        out[lo : lo + chunk] = np.sum(A * p1 / (kk + 1.0) + B * p2 / (kk + 2.0), axis=1)
-    return out
-
-
 def _random_table(nodes, seed):
     rng = np.random.default_rng(seed)
     x = np.concatenate([[0.0], np.sort(rng.random(nodes - 2)), [1.0]])
     return TabulatedDensity(x, rng.random(nodes) + 0.01, normalize=True)
 
 
-def _tab21():
-    x = np.linspace(0.0, 1.0, 21)
+def _sine_table(nodes):
+    x = np.linspace(0.0, 1.0, nodes)
     f = (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x))
     f = f / np.trapezoid(f, x)
     f[-1] = 0.0
     return TabulatedDensity(x, f)
+
+
+def _tab21():
+    return _sine_table(21)
+
+
+def _by_parts_error_bound(dist, k):
+    """A rounding bound on m_k = f[-1]/(k+2) + (A + sum_i D_i x_i^(k+2))/((k+1)(k+2)).
+
+    Each slope B_i is rounded three times, so D_i = B_i - B_{i-1} errs by
+    gamma_4 (|B_i| + |B_{i-1}|), and A = f[-2] - B x[-2] by gamma_5 (|f[-2]| + |B x[-2]|).
+    pow (within 1 ulp), the product with D_i, at most N - 2 sequential
+    additions and the three final roundings bring every term to gamma_{N+8}.
+    A subnormal pow errs by at most 2^-1074, and a node past its cut drops a
+    term below |D_i| 2^-1100: sum_i |D_i| 2^-1074/((k+1)(k+2)) covers both.
+    """
+    x, f = dist.x, dist.f
+    B = np.diff(f) / np.diff(x)
+    k1, k2 = k + 1.0, k + 2.0
+    weight = np.abs(B[1:]) + np.abs(B[:-1])
+    pows = np.power(x[None, 1:-1], k2[:, None]) if x.size > 2 else np.zeros((k.size, 0))
+    mag = np.abs(f[-1]) / k2 + (abs(f[-2]) + abs(B[-1] * x[-2]) + pows @ weight) / (k1 * k2)
+    slack = np.sum(np.abs(np.diff(B))) * 2.0**-1074 / (k1 * k2)
+    return higham_gamma(x.size + 8) * mag + slack
+
+
+def _node_cuts(dist):
+    # the last k at which node i's x_i^(k+2) is above 2^-1100, and the next
+    cut = np.floor(-1100.0 * np.log(2.0) / np.log(dist.x[1:-1])) - 2.0
+    return np.concatenate([cut, cut + 1.0])
 
 
 @pytest.mark.parametrize("make", [
@@ -154,27 +169,51 @@ def _tab21():
     lambda: _random_table(3, 1),
     lambda: _random_table(5, 2),
     lambda: _random_table(50, 3),
-], ids=["tab2", "tab21", "x999", "random3", "random5", "random50"])
-def test_tabulated_moments_match_full_row_sum(make):
+    # slopes 1, 1, 2, -2: the node at 0.25 is collinear, D = 0 exactly
+    lambda: TabulatedDensity([0.0, 0.25, 0.5, 0.75, 1.0], [0.5, 0.75, 1.0, 1.5, 1.0]),
+], ids=["tab2", "tab21", "x999", "random3", "random5", "random50", "collinear"])
+def test_tabulated_moments_match_node_exact(make):
     dist = make()
-    # x[-2]^(k+1) underflows near k_u; also cross a 2^20 chunk edge
-    k_u = 1075.0 * np.log(2.0) / -np.log(dist.x[-2]) if dist.x.size > 2 else 1.0
-    k = np.unique(np.concatenate([
-        np.arange(1, 20_000), np.arange(0.97 * k_u, 1.05 * k_u).round(),
-        np.arange((1 << 20) - 2048, (1 << 20) + 2048), np.geomspace(20_000, 1.6e7, 2000).round(),
+    # small k, where the node terms cancel, a geometric sweep to 1.6e7, and
+    # the two k on either side of every node's underflow cut, shuffled with repeats
+    grid = np.unique(np.concatenate([
+        np.arange(1.0, 200.0), np.geomspace(200, 1.6e7, 100).round(), _node_cuts(dist),
     ]))
+    grid = grid[grid >= 1.0]
+    rng = np.random.default_rng(29)
+    k = rng.permutation(np.concatenate([grid, rng.choice(grid, 60)]))
     got = dist.moments(k)
-    # below the underflow point every segment's row is summed, bit for bit
-    with np.errstate(divide="ignore"):
-        rows = (k + 1.0) * np.log(dist.x[-2]) > -1100.0 * np.log(2.0)
-    assert got[rows].tobytes() == _full_row_sum(dist, k[rows]).tobytes()
-    # past it the last segment's closed form is within 2 ulp of the exact moment,
-    # checked on 250 of those k spread from the first to the last
-    past = k[~rows]
-    past = past[np.unique(np.linspace(0, past.size - 1, 250).round().astype(np.int64))]
-    with mpmath.workdps(30):
-        exact = np.array([float(_table_moment(dist, int(j))) for j in past])
-    assert np.all(np.abs(dist.moments(past) - exact) <= 2.0 * np.spacing(exact))
+    # a moment does not depend on the other k of the call
+    assert got.tobytes() == dist.moments(np.sort(k))[np.argsort(np.argsort(k))].tobytes()
+    assert all(got[i] == dist.moments([k[i]])[0] for i in range(0, k.size, 37))
+    with mpmath.workdps(40):
+        exact = dict(zip(grid, map(float, _table_moments(dist, [int(j) for j in grid]))))
+    ref = np.array([exact[j] for j in k])
+    err = np.abs(got - ref)
+    assert np.all(err <= _by_parts_error_bound(dist, k))
+    # past every node's cut m_k is the last segment's closed form, within 2 ulp
+    past = k > _node_cuts(dist).max(initial=0.0)
+    assert np.all(err[past] <= 2.0 * np.spacing(ref[past]))
+    if dist.x.size == 21:
+        assert np.all(err <= 4.0 * np.spacing(ref))
+
+
+def test_collinear_node_adds_nothing():
+    # f = 2 - 2x through a node at 1/2: the same bytes as the 2-node table
+    k = np.concatenate([np.arange(1.0, 5000.0), np.geomspace(5000, 1.6e7, 500).round()])
+    with_node = TabulatedDensity([0.0, 0.5, 1.0], [2.0, 1.0, 0.0]).moments(k)
+    assert with_node.tobytes() == TabulatedDensity([0.0, 1.0], [2.0, 0.0]).moments(k).tobytes()
+
+
+def test_large_table_moments_match_node_exact():
+    # 2001 nodes: the k the n = 1e4, tol 1e-8 sum reaches (J = 50,566), where
+    # every node's terms were once a row of 2001 segment integrals per k
+    dist = _sine_table(2001)
+    k = np.array([1, 2, 5, 17, 100, 500, 2000, 5000, 12_000, 25_000, 40_000, 50_566.0])
+    got = dist.moments(k)
+    with mpmath.workdps(40):
+        ref = np.array([float(m) for m in _table_moments(dist, [int(j) for j in k])])
+    assert np.all(np.abs(got - ref) <= _by_parts_error_bound(dist, k))
 
 
 def test_tab21_moments_are_the_edge_pole_past_underflow():
@@ -507,17 +546,27 @@ def test_beta_gap_bounds_log_gamma_moments(beta):
             assert 0.9 * gap <= abs(eps) <= gap
 
 
-def _table_moment(dist, j):
-    """The exact moment of the piecewise-linear table at the working precision."""
+def _table_moments(dist, ks):
+    """The exact moments of the piecewise-linear table at the working precision.
+
+    Segment by segment, A (x1^(k+1) - x0^(k+1))/(k+1) + B (x1^(k+2) - x0^(k+2))/(k+2)
+    with the segment's line f = A + B x; each node's powers are taken once.
+    """
     x = [mpmath.mpf(float(v)) for v in dist.x]
     f = [mpmath.mpf(float(v)) for v in dist.f]
-    total = mpmath.mpf(0)
-    for x0, x1, f0, f1 in zip(x, x[1:], f, f[1:]):
-        B = (f1 - f0) / (x1 - x0)
-        A = f0 - B * x0
-        total += A * (x1 ** (j + 1) - x0 ** (j + 1)) / (j + 1)
-        total += B * (x1 ** (j + 2) - x0 ** (j + 2)) / (j + 2)
-    return total
+    B = [(f1 - f0) / (x1 - x0) for x0, x1, f0, f1 in zip(x, x[1:], f, f[1:])]
+    A = [f0 - b * x0 for x0, f0, b in zip(x, f, B)]
+    out = []
+    for j in ks:
+        p1 = [v ** (j + 1) for v in x]
+        p2 = [p * v for p, v in zip(p1, x)]
+        out.append(mpmath.fsum(a * (p1[i + 1] - p1[i]) / (j + 1) + b * (p2[i + 1] - p2[i]) / (j + 2)
+                               for i, (a, b) in enumerate(zip(A, B))))
+    return out
+
+
+def _table_moment(dist, j):
+    return _table_moments(dist, [j])[0]
 
 
 def _tab21_with_edge():

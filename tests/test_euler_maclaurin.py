@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
-from momzeta.euler_maclaurin import defect_direct, defect_dnform
+from momzeta.euler_maclaurin import _GAUSS_NODES, _GAUSS_WEIGHTS, defect_direct, defect_dnform
 
 ONE_MINUS_GAMMA = 0.42278433509846713939
 
@@ -101,3 +102,20 @@ def test_dnform_validation():
         defect_dnform(0)
     with pytest.raises(ValueError):
         defect_dnform(5, tol=0.0)
+
+
+def test_gauss_table_is_the_24_point_rule():
+    # the written-out rule is numpy's leggauss(24): its nodes are the roots of
+    # P_24 to 1 ulp, its weights 2/((1 - x^2) P_24'(x)^2) to 1e-12 relative
+    # (numpy's own weights are off by up to 859 ulp at the outermost node)
+    x, w = np.polynomial.legendre.leggauss(24)
+    assert np.all(np.abs(_GAUSS_NODES - x) <= 2.0 * np.spacing(np.abs(x)))
+    assert np.allclose(_GAUSS_WEIGHTS, w, rtol=1e-13, atol=0.0)
+    assert np.array_equal(_GAUSS_NODES, -_GAUSS_NODES[::-1])
+    assert np.array_equal(_GAUSS_WEIGHTS, _GAUSS_WEIGHTS[::-1])
+    with mpmath.workdps(40):
+        for node, weight in zip(_GAUSS_NODES[12:], _GAUSS_WEIGHTS[12:]):
+            root = mpmath.findroot(lambda t: mpmath.legendre(24, t), mpmath.mpf(float(node)))
+            slope = mpmath.diff(lambda t: mpmath.legendre(24, t), root)
+            assert abs(node - float(root)) <= np.spacing(node)
+            assert abs(weight - float(2 / ((1 - root**2) * slope**2))) <= 1e-12 * weight
