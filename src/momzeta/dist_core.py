@@ -10,7 +10,10 @@ Three density families are supported:
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
   by parts, f[-1]/(k+2) + (A + sum_i D_i x_i^(k+2))/((k+1)(k+2)) with D_i the
   slope jump at node i and f = A + B x on the last segment; J moments take
-  sum_i min(J, 762/(-log x_i)) pows (2001 nodes, J = 50,566: 0.14 s).
+  sum_i min(J, 762/(-log x_i)) pows (2001 nodes, J = 50,566: 0.14 s);
+  ``cdf`` and ``ppf`` find each value's segment through a guide table
+  (``_SegmentIndex``): a bucket read and bisection steps inside the bucket,
+  one step on a uniform grid, at most ceil(log2 N) + 1 on any N-node table.
 
 A sequence's tail is described once, by its ``PowerLawForm``
 m_j ~ L (j+shift)^(-alpha) with a proven gap on its log-ratio to m_j; the
@@ -53,6 +56,9 @@ _MASS_TOL = 1e-10
 _INT_BETA_MAX = 169
 # a power whose true value is below 2^-1100 rounds to 0 in any pow kernel
 _LOG_UNDERFLOW = -1100.0 * math.log(2.0)
+# a segment lookup's buckets per table segment: a grid of equal segments
+# then has at most one interior edge in a bucket
+_GUIDE_BUCKETS = 8
 
 
 @dataclass(frozen=True)
@@ -240,6 +246,65 @@ class BetaEdge(EdgeDistribution):
                             gap=_beta_gap(self.beta))
 
 
+class _SegmentIndex:
+    """clip(searchsorted(edges, v, side) - 1, 0, N - 2) for every float v, by a guide table.
+
+    edges are N >= 2 non-decreasing floats from 0; the answer counts the
+    interior edges edges[1:-1] at or below v (side "right") or below it
+    ("left"), NaN above them all.  Bucket b(v) = floor(v scale), clipped to the
+    _GUIDE_BUCKETS (N - 1) buckets and NaN to the top one, is monotone in v,
+    so the interior edges in buckets below v's lie below v and those above it
+    above: the count is the bucket's start plus the bucket's edges before v,
+    found by ``steps`` = ceil(log2(largest bucket + 1)) bisection steps (Chen
+    & Asau 1974; Devroye 1986, III.2.4).  Only values in buckets of two or more
+    edges take the steps before the last.
+    """
+
+    def __init__(self, edges: np.ndarray, side: str) -> None:
+        buckets = _GUIDE_BUCKETS * (edges.size - 1)
+        self._edges, self._scale, self._top = edges, buckets / edges[-1], float(buckets - 1)
+        self._past = np.less if side == "right" else np.less_equal  # an edge past v
+        pops = np.bincount(self._bucket(edges[1:-1]), minlength=buckets)
+        self._start = np.cumsum(pops) - pops  # interior edges in lower buckets
+        self._crowded = pops > 1
+        for a in (self._start, self._crowded):
+            a.setflags(write=False)
+        self.steps = max(1, int(pops.max()).bit_length())  # the last step: every value
+
+    def _bucket(self, v: np.ndarray, e: np.ndarray | None = None) -> np.ndarray:
+        with np.errstate(over="ignore"):  # past 1e308 / scale: inf, the top bucket
+            e = np.multiply(v, self._scale, out=e)
+        np.fmin(e, self._top, out=e)  # NaN, +inf and the last edge go to the top bucket
+        np.fmax(e, 0.0, out=e)  # no NaN or infinity reaches the cast
+        return e.astype(np.intp)
+
+    def _lift(self, v: np.ndarray, idx: np.ndarray, ks: range, e: np.ndarray) -> None:
+        # bisection steps of size 2^k, k in ks, on idx in place: a step moves idx
+        # unless the interior edge it would pass, edges[idx + 2^k], lies past v
+        hit = np.empty(v.shape, dtype=bool)
+        for k in ks:
+            idx += 1 << k
+            self._edges.take(idx, out=e, mode="clip")
+            self._past(v, e, out=hit)
+            idx -= hit.astype(np.intp) << k if k else hit  # a masked subtract branches per value
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
+        # two arrays the size of v, the bucket's float and then the edges read
+        # for v, and the index, written in place
+        shape, v = v.shape, v.ravel()
+        e = np.empty(v.shape)
+        idx = self._bucket(v, e)
+        many = np.flatnonzero(self._crowded.take(idx)) if self.steps > 1 else ()
+        self._start.take(idx, out=idx, mode="clip")
+        if len(many):  # the steps before the last, crowded buckets only
+            part = idx[many]
+            self._lift(v[many], part, range(self.steps - 1, 0, -1), np.empty(part.shape))
+            idx[many] = part
+        self._lift(v, idx, range(1), e)
+        np.minimum(idx, self._edges.size - 2, out=idx)  # NaN, +inf: the last segment
+        return idx.reshape(shape)
+
+
 class TabulatedDensity(EdgeDistribution):
     """Piecewise-linear density from (x, f) pairs on a strictly increasing grid.
 
@@ -295,6 +360,9 @@ class TabulatedDensity(EdgeDistribution):
         self._cum = np.concatenate([[0.0], np.cumsum(seg)])
         for a in (self._width, self._rise, self._B, self._A, self._cum):
             a.setflags(write=False)
+        # the segment of an x (x[i] <= x < x[i+1]) and of a u (cum[i] < u <= cum[i+1])
+        self._x_segment = _SegmentIndex(self.x, "right")
+        self._u_segment = _SegmentIndex(self._cum, "left")
 
     def pdf(self, x):
         return np.interp(np.asarray(x, dtype=np.float64), self.x, self.f, left=0.0, right=0.0)
@@ -302,13 +370,13 @@ class TabulatedDensity(EdgeDistribution):
     def cdf(self, x):
         # cum[i] + (x - x[i]) (f[i] + 0.5 t (f[i+1] - f[i])), t = (x - x[i]) / (x[i+1] - x[i]),
         # each factor read from a per-segment table and every step written
-        # into one of four arrays the size of x (take with out= buffers a copy
-        # unless mode="clip"; idx is in range already)
+        # into one of four arrays the size of x, after the segment lookup's
+        # scratch array is freed (take with out= buffers a copy unless
+        # mode="clip"; idx is in range already)
         x = np.asarray(x, dtype=np.float64)
         width, rise = self._width, self._rise
         xc = np.clip(np.atleast_1d(x), 0.0, 1.0)
-        idx = np.searchsorted(self.x, xc, side="right")
-        np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
+        idx = self._x_segment(xc)
         dx = self.x.take(idx)
         np.subtract(xc, dx, out=dx)
         t = width.take(idx)
@@ -321,14 +389,16 @@ class TabulatedDensity(EdgeDistribution):
         return t[0] if x.ndim == 0 else t
 
     def ppf(self, u):
-        # stable root of the segment's quadratic CDF, then one Newton step;
-        # per-segment tables and out= keep the temporaries to six arrays the
-        # size of u
+        # the segment from the guide table over cum: one bisection step a
+        # value, ceil(log2(p + 1)) in a bucket of p >= 2 nodes, never past
+        # ceil(log2 N) + 1; then the stable root of its quadratic CDF and one
+        # Newton step.  u is clipped to [0, mass]: u <= 0 gives 0, u >= mass
+        # gives 1 and NaN gives NaN.  Per-segment tables and out= keep the
+        # temporaries to seven arrays the size of u
         u = np.asarray(u, dtype=np.float64)
-        ua = np.atleast_1d(u)
+        ua = np.clip(np.atleast_1d(u), 0.0, self._cum[-1])
         width, slope = self._width, self._B
-        idx = np.searchsorted(self._cum, ua, side="left")
-        np.clip(np.subtract(idx, 1, out=idx), 0, self.x.size - 2, out=idx)
+        idx = self._u_segment(ua)
         r = self._cum.take(idx)
         np.subtract(ua, r, out=r)
         f0 = self.f.take(idx)
@@ -343,7 +413,7 @@ class TabulatedDensity(EdgeDistribution):
         with np.errstate(divide="ignore", invalid="ignore"):
             # x = x0 + clip(d, 0, width), d = 2 r / denom, or 0 where denom <= 0
             np.divide(np.multiply(2.0, r, out=x), denom, out=x)
-            np.copyto(x, 0.0, where=~(denom > 0.0))
+            np.copyto(x, 0.0, where=denom <= 0.0)  # a NaN denom keeps its NaN
             np.clip(x, 0.0, width.take(idx, out=denom, mode="clip"), out=x)
             x0 = self.x.take(idx, out=r, mode="clip")
             np.add(x0, x, out=x)
@@ -351,7 +421,7 @@ class TabulatedDensity(EdgeDistribution):
             dens = np.subtract(x, x0, out=denom)
             dens *= s
             np.add(f0, dens, out=dens)
-            del idx, r, x0, f0, s  # freed before cdf makes its four
+            del idx, r, x0, f0, s  # freed before cdf makes its own
             step = self.cdf(x)
             step -= ua
             step /= dens

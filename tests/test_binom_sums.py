@@ -8,6 +8,7 @@ import pytest
 
 from momzeta.binom_sums import (
     _POWER_LAW_J_CAP,
+    _split_quadrature,
     alt_sum_naive,
     alt_sum_stable,
     gamma_integral_identity_check,
@@ -25,7 +26,7 @@ from momzeta.dist_core import (
     Uniform,
     moment_sequence,
 )
-from momzeta.errors import Divergence, DomainError, PrecisionExhausted
+from momzeta.errors import Divergence, DomainError, PrecisionExhausted, QuadratureFailure
 from momzeta.euler_maclaurin import defect_dnform
 from momzeta.moment_zeta import moment_zeta
 
@@ -482,6 +483,17 @@ def test_identity_grid_within_window_of_closed_form():
             for alpha in (1.0, 1.001, 1.01, 1.1, 1.5, 2.0, 3.0, 10.0, 50.0):
                 quad, closed = gamma_integral_identity_check(L, alpha)
                 assert abs(quad - closed) <= 1e-6, (L, alpha)
+
+
+def test_identity_quadrature_charges_its_rounding():
+    # at L = 1e8 the panel sums reach 2e8: the two rules differ by 3e-8 of
+    # rounding, inside gamma_D sum |w f| (1.4e-6), and the value is within
+    # 5e-14 relative of the closed form
+    quad, closed = gamma_integral_identity_check(1e8, 1.5)
+    assert abs(quad - closed) <= 1e-13 * abs(closed)
+    # a step inside a panel is real error, which no rounding allowance covers
+    with pytest.raises(QuadratureFailure):
+        _split_quadrature(lambda t: np.where(t > 0.3, 1.0, 0.0))
 
 
 def test_identity_domain():

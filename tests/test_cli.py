@@ -222,6 +222,14 @@ def test_identity_grid(capsys):
         assert float(line.split(",")[-1]) <= 1e-6
 
 
+def test_identity_at_large_L_exits_0(capsys):
+    # the quadrature's error test charges the rounding of its sums, ~1e-6 at L = 1e8
+    code, out, _ = run_cli(capsys, "identity", "--l-grid", "1e8", "--alpha-grid", "1.5")
+    assert code == 0
+    quad, closed = (float(v) for v in out.splitlines()[1].split(",")[3:5])
+    assert abs(quad - closed) <= 1e-13 * closed
+
+
 def test_table_edge_comes_from_its_last_segment(tmp_path, capsys):
     table = tmp_path / "d.csv"
     table.write_text("x,f\n0,1.5\n1,0.5\n")

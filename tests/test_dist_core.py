@@ -412,6 +412,25 @@ def zero_segment_table():
     return TabulatedDensity([0.0, 0.2, 0.4, 0.6, 1.0], [0.0, 2.0, 0.0, 0.0, 2.5], normalize=True)
 
 
+def big_table():
+    # 2001 nodes of (1 - x)(1 + 0.3 sin 7x): cum crowds at the beta = 1 edge
+    x = np.linspace(0.0, 1.0, 2001)
+    return TabulatedDensity(x, (1.0 - x) * (1.0 + 0.3 * np.sin(7.0 * x)), normalize=True)
+
+
+def spiky_table():
+    # one node holds the mass: 999 cum nodes share the lowest bucket, 999 the top one
+    f = np.full(2001, 1e-9)
+    f[1000] = 1.0
+    return TabulatedDensity(np.linspace(0.0, 1.0, 2001), f, normalize=True)
+
+
+def dyadic_table():
+    # nodes at 1 - 2^-k, k = 1..53, far closer together than one bucket near x = 1
+    x = np.r_[0.0, 1.0 - 2.0 ** -np.arange(1.0, 54.0), 1.0]
+    return TabulatedDensity(x, 1.5 - x, normalize=True)
+
+
 @pytest.mark.parametrize("make", [edge_zero_table, zero_segment_table])
 def test_tabulated_ppf_round_trip(make):
     dist = make()
@@ -441,8 +460,9 @@ def _segment_cdf(dist, x):
 
 
 def _segment_ppf(dist, u):
-    # the table's ppf written with per-element segment expressions
-    u = np.asarray(u, dtype=np.float64)
+    # the table's ppf written with per-element segment expressions, on u
+    # clipped to [0, mass]; a NaN u stays NaN
+    u = np.clip(np.asarray(u, dtype=np.float64), 0.0, dist._cum[-1])
     idx = np.clip(np.searchsorted(dist._cum, u, side="left") - 1, 0, dist.x.size - 2)
     x0, f0 = dist.x[idx], dist.f[idx]
     width = dist.x[idx + 1] - x0
@@ -450,35 +470,92 @@ def _segment_ppf(dist, u):
     r = u - dist._cum[idx]
     denom = f0 + np.sqrt(np.maximum(f0 * f0 + 2.0 * slope * r, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = np.where(denom > 0.0, 2.0 * r / denom, 0.0)
+        d = np.where(denom <= 0.0, 0.0, 2.0 * r / denom)
         x = x0 + np.clip(d, 0.0, width)
         dens = f0 + slope * (x - x0)
         x = np.where(dens > 0.0, x - (_segment_cdf(dist, x) - u) / dens, x)
     return np.where(u >= dist._cum[-1], 1.0, x)
 
 
-@pytest.mark.parametrize("make", [perturbed_linear, edge_zero_table, zero_segment_table])
+TABLES = [perturbed_linear, edge_zero_table, zero_segment_table, big_table, spiky_table,
+          dyadic_table]
+
+
+def _nodes_and_neighbours(dist):
+    nodes = np.concatenate([dist.x, dist._cum])
+    return np.concatenate([nodes, np.nextafter(nodes, -np.inf), np.nextafter(nodes, np.inf)])
+
+
+@pytest.mark.parametrize("make", TABLES)
 def test_tabulated_ppf_cdf_bytes_match_segment_expressions(make):
     # ppf and cdf read per-segment tables and write in place: the same
-    # expressions per segment, so the same bytes
+    # expressions per segment, so the same bytes, whatever the segment lookup
     dist = make()
     edges = np.concatenate([[0.0, 1.0], dist._cum, [dist._cum[-1]]])
+    near = _nodes_and_neighbours(dist)
     draws = np.random.default_rng(23).random(100_000)
-    for u in (edges, edges.reshape(1, -1), draws, draws.reshape(4, -1)):
+    for u in (edges, edges.reshape(1, -1), near, near.reshape(3, -1), draws, draws.reshape(4, -1)):
         before = u.copy()
         x = dist.ppf(u)
         assert x.shape == u.shape
         assert x.tobytes() == _segment_ppf(dist, u).tobytes()
         assert u.tobytes() == before.tobytes()  # the input is left alone
         assert dist.cdf(x).tobytes() == _segment_cdf(dist, x).tobytes()
-    grid = np.concatenate([[-0.5, 1.5], dist.x, draws])
+    grid = np.concatenate([[-0.5, 1.5], dist.x, near, draws])
     assert dist.cdf(grid).tobytes() == _segment_cdf(dist, grid).tobytes()
-    for v in (0.0, 1.0, float(dist._cum[1]), 0.37):
+    rows = near.reshape(3, -1)
+    assert dist.cdf(rows).tobytes() == _segment_cdf(dist, rows).tobytes()
+    for v in (0.0, 1.0, float(dist._cum[1]), float(np.nextafter(dist.x[-2], 0.0)), 0.37):
         for arg in (v, np.float64(v), np.array(v)):
             for got, want in ((dist.ppf(arg), _segment_ppf(dist, arg)),
                               (dist.cdf(arg), _segment_cdf(dist, arg))):
                 assert type(got) is type(want) and np.shape(got) == np.shape(want)
                 assert float(got).hex() == float(want).hex()
+
+
+SPECIAL = [math.nan, math.inf, -math.inf, 0.0, -0.0, -0.5, 1.5]
+
+
+@pytest.mark.parametrize("make", TABLES)
+def test_tabulated_ppf_cdf_special_values(make):
+    # NaN gives NaN; u <= 0 gives 0 and u >= the mass 1, as cdf clips x to [0, 1];
+    # no value warns (a NaN cast to an index or 0 * inf would)
+    dist = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, c = dist.ppf(np.array(SPECIAL)), dist.cdf(np.array(SPECIAL))
+        scalars = [(float(dist.ppf(v)), float(dist.cdf(v))) for v in SPECIAL]
+    assert np.array_equal(np.column_stack([x, c]), scalars, equal_nan=True)  # 0-d as 1-d
+    assert math.isnan(x[0]) and math.isnan(c[0])
+    assert list(x[1:]) == [1.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    top = dist.cdf(1.0)
+    assert list(c[1:]) == [top, 0.0, 0.0, 0.0, 0.0, top]
+    assert x.tobytes() == _segment_ppf(dist, np.array(SPECIAL)).tobytes()
+    assert c.tobytes() == _segment_cdf(dist, np.array(SPECIAL)).tobytes()
+
+
+@pytest.mark.parametrize("make", TABLES)
+def test_segment_lookup_matches_searchsorted(make):
+    # the guide table's segment is clip(searchsorted(edges, v, side) - 1, 0, N - 2)
+    # for every float, NaN and the infinities included
+    dist = make()
+    v = np.concatenate([_nodes_and_neighbours(dist), SPECIAL, [-1e308, 1e308, 5e-324],
+                        np.random.default_rng(5).random(10_000)])
+    for lookup, edges, side in ((dist._x_segment, dist.x, "right"),
+                                (dist._u_segment, dist._cum, "left")):
+        want = np.clip(np.searchsorted(edges, v, side=side) - 1, 0, edges.size - 2)
+        assert np.array_equal(lookup(v), want)
+        assert np.array_equal(lookup(v.reshape(-1, 2)), want.reshape(-1, 2))
+        # structure, not time: one step on a grid of equal segments, and the
+        # steps grow with the crowding of a bucket, never past ceil(log2 N) + 1
+        assert 1 <= lookup.steps <= math.ceil(math.log2(edges.size)) + 1
+
+
+@pytest.mark.parametrize("nodes", [2, 3, 21, 2001, 20_001])
+def test_segment_lookup_takes_one_step_on_uniform_grids(nodes):
+    x = np.linspace(0.0, 1.0, nodes)
+    dist = TabulatedDensity(x, np.ones(nodes))
+    assert dist._x_segment.steps == 1 and dist._u_segment.steps == 1
 
 
 # ---------------------------------------------------------------------------
