@@ -10,10 +10,12 @@ Three density families are supported:
 * ``TabulatedDensity`` -- piecewise-linear density on a user grid, moments
   by parts, f[-1]/(k+2) + (A + sum_i D_i x_i^(k+2))/((k+1)(k+2)) with D_i the
   slope jump at node i and f = A + B x on the last segment; J moments take
-  sum_i min(J, 762/(-log x_i)) pows (2001 nodes, J = 50,566: 0.14 s);
-  ``cdf`` and ``ppf`` find each value's segment through a guide table
-  (``_SegmentIndex``): a bucket read and bisection steps inside the bucket,
-  one step on a uniform grid, at most ceil(log2 N) + 1 on any N-node table.
+  sum_i min(J, 762/(-log x_i)) pows (2001 nodes, J = 20,952: about 0.1 s);
+  its power-law form is the pole part of the same terms, and the form's gap
+  bounds the node sum; ``cdf`` and ``ppf`` find each value's segment through
+  a guide table (``_SegmentIndex``): a bucket read and bisection steps inside
+  the bucket, one step on a uniform grid, at most ceil(log2 N) + 1 on any
+  N-node table.
 
 A sequence's tail is described once, by its ``PowerLawForm``
 m_j ~ L (j+shift)^(-alpha) with a proven gap on its log-ratio to m_j; the
@@ -51,6 +53,7 @@ __all__ = [
 ]
 
 _MASS_TOL = 1e-10
+_U = 2.0**-53  # the unit roundoff of round-to-nearest float64
 # (beta+1)! = c Gamma(beta+1) is finite up to this beta, the range where
 # BetaEdge has a power-law form; it uses its rational moments there
 _INT_BETA_MAX = 169
@@ -308,11 +311,12 @@ class _SegmentIndex:
 class TabulatedDensity(EdgeDistribution):
     """Piecewise-linear density from (x, f) pairs on a strictly increasing grid.
 
-    The grid must cover [0, 1] (its ends are then set to 0 and 1) and the
-    trapezoid mass must equal 1 within 1e-10 (pass normalize=True to rescale
-    instead).  The last segment fixes the edge (c, beta): (f[-1], 0), or
-    (f[-2]/(1 - x[-2]), 1) when f[-1] = 0.  edge=(c, beta) is optional and
-    only checked against it: a different value raises InvalidTail.
+    x and f must be finite, the grid must cover [0, 1] (its ends are then set
+    to 0 and 1) and the trapezoid mass must equal 1 within 1e-10 (pass
+    normalize=True to rescale instead).  The last segment fixes the edge
+    (c, beta): (f[-1], 0), or (f[-2]/(1 - x[-2]), 1) when f[-1] = 0.
+    edge=(c, beta) is optional and only checked against it: a different value
+    raises InvalidTail.
     """
 
     family = "tabulated"
@@ -328,6 +332,8 @@ class TabulatedDensity(EdgeDistribution):
         f = np.asarray(f, dtype=np.float64)
         if x.ndim != 1 or x.shape != f.shape or x.size < 2:
             raise ValueError("need matching 1-D arrays with at least two nodes")
+        if not (np.isfinite(x).all() and np.isfinite(f).all()):
+            raise ValueError("grid x and density values f must be finite numbers")
         if np.any(np.diff(x) <= 0.0):
             raise ValueError("grid x must be strictly increasing")
         if abs(x[0]) > 1e-12 or abs(x[-1] - 1.0) > 1e-12:
@@ -337,11 +343,11 @@ class TabulatedDensity(EdgeDistribution):
             raise ValueError("density values must be nonnegative")
         mass = float(np.trapezoid(f, x))
         if normalize:
-            if mass <= 0.0:
-                raise ValueError("cannot normalize a zero-mass table")
+            if not (0.0 < mass < math.inf):
+                raise ValueError(f"cannot normalize a table of mass {mass!r}")
             f = f / mass
             mass = 1.0
-        if abs(mass - 1.0) > _MASS_TOL:
+        if not abs(mass - 1.0) <= _MASS_TOL:
             raise ValueError(f"density mass {mass!r} differs from 1 by more than {_MASS_TOL}")
         self.x = x
         self.x.setflags(write=False)
@@ -449,23 +455,21 @@ class TabulatedDensity(EdgeDistribution):
         return self.f[-1] / (k + 2.0) + top / ((k + 1.0) * (k + 2.0))
 
     def power_law_form(self) -> PowerLawForm:
-        """The last segment f = A + B x as the pole part; the other segments go in the gap.
+        """The pole part P_j of the by-parts moments is the form; the gap bounds the node part N_j.
 
-        f[-1] > 0: A/(j+1) + B/(j+2) = L/(j+shift) (1 + (AB/L^2)/((j+1)(j+2))),
-        L = f[-1], shift = 1 + B/L.  f[-1] = 0: BetaEdge(1) scaled by L/2.  The
-        rest adds at most S x[-2]^(j+1)/(j+1) to m_j, S = sum_i |A_i| + |B_i|,
-        which relative to the form peaks at j* = alpha/(-log x[-2]) - shift.
+        P_j = A/(j+1) + B/(j+2), f = A + B x on the last segment: if f[-1] > 0, L/(j+shift)
+        (1 + q_j), L = f[-1], shift = 1 + B/L, q_j = (AB/L^2)/((j+1)(j+2)); if f[-1] = 0,
+        L (j+3/2)^-2/(1 - q_j), L = A, q_j = 1/(4 (j+3/2)^2).  |N_j| <= rho_j P_j with rho_j =
+        D x[-2]^(j+2)/(f[-1] (j+1) + A), D = sum_i |D_i|.  q, rho fall with j: gap(J) is q/(1-q) +
+        rho/(1-rho) at j = J+1, plus 8u (1 + alpha (|shift|+1)/(j+shift)) for the roundings of L
+        (2: log L moves 2u) and shift (5, B's 3 in them: 5u alpha (|shift|+1)/(j+shift)).
         """
         x2, f2, f1 = float(self.x[-2]), float(self.f[-2]), float(self.f[-1])
         A, B = float(self._A[-1]), float(self._B[-1])
         if f1 > 0.0:
-            L, alpha, shift, q0 = f1, 1.0, 1.0 + B / f1, abs(A * B) / (f1 * f1)
-
-            def pole_gap(J: float) -> float:
-                q = q0 / ((J + 2.0) * (J + 3.0))
-                return q / (1.0 - q) if q < 1.0 and J + shift >= 0.0 else math.inf
+            L, alpha, shift, q0 = f1, 1.0, 1.0 + B / f1, abs(A / f1 * (B / f1))
         elif f2 > 0.0:
-            L, alpha, shift, pole_gap = f2 / (1.0 - x2), 2.0, 1.5, _beta_gap(1.0)
+            L, alpha, shift, q0 = f2 / (1.0 - x2), 2.0, 1.5, 0.0
         else:
             raise TailUnavailable("the table's last segment is 0: its moments decay faster "
                                   "than any power law")
@@ -474,16 +478,17 @@ class TabulatedDensity(EdgeDistribution):
             if beta != alpha - 1.0 or not math.isclose(c, L, rel_tol=1e-9):
                 raise InvalidTail(f"edge data (c, beta) = ({c:.6g}, {beta:.6g}) differs from "
                                   f"the last segment's ({L:.6g}, {alpha - 1.0:g})")
-        if x2 == 0.0:
-            return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=pole_gap)
-        S = float(np.sum(np.abs(self._A) + np.abs(self._B)))
-        log_x2 = math.log(x2)
+        D = float(np.sum(np.abs(np.diff(self._B))))
 
         def gap(J: float) -> float:
-            g, j = pole_gap(J), max(J + 1.0, alpha / -log_x2 - shift)
-            log_rho = math.log(S / L) + g + (j + 1.0) * log_x2 + alpha * math.log(j + shift)
-            rho = math.exp(min(log_rho, 700.0)) / (J + 2.0)
-            return g + rho / (1.0 - rho) if rho < 1.0 else math.inf
+            j = J + 1.0
+            q = q0 / ((j + 1.0) * (j + 2.0)) if f1 > 0.0 else 0.25 / (j + 1.5) ** 2
+            node, pole = D * x2 ** (j + 2.0), f1 * (j + 1.0) + A  # each times (j+1)(j+2)
+            if not (q < 1.0 and node < pole and j + shift > 0.0):
+                return math.inf
+            rho = node / pole
+            return q / (1.0 - q) + rho / (1.0 - rho) + 8.0 * _U * (
+                1.0 + alpha * (abs(shift) + 1.0) / (j + shift))
 
         return PowerLawForm(L=L, alpha=alpha, shift=shift, gap=gap)
 
@@ -532,7 +537,7 @@ class MomentSequence:
 def _spot_check(seq: MomentSequence, provenance: str) -> None:
     js = np.unique(np.round(np.geomspace(1, 1000, 40)).astype(np.int64))
     m = seq.moments(js)
-    if np.any(m <= 0.0) or np.any(m > 1.0 + 1e-12):
+    if not np.all((m > 0.0) & (m <= 1.0 + 1e-12)):  # NaN fails too
         raise InvalidTail(f"{provenance} moments must lie in (0, 1]")
     if np.any(np.diff(m) > 1e-15):
         raise InvalidTail(f"{provenance} moments are not monotonically decreasing")

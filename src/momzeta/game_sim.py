@@ -28,9 +28,7 @@ float64 workspace that every block draws into and reduces in place, stored
 set-major (slabs x n x 4096) so that each per-trial reduction over the sets
 runs along axis 0 as whole-vector operations: 2 x n x 4096 for random-p
 (64 KB per set; 6.5 MB at n = 100), one n x 4096 slab for fixed-p and
-zeta-mc.  The streams and the layout are new in this version: every report's
-bytes differ once from those of earlier versions, which drew trial-major
-arrays from other streams, and the sampled laws are unchanged.
+zeta-mc.
 """
 
 from __future__ import annotations
@@ -291,8 +289,7 @@ def run_trials(
     The run holds one set-major float64 workspace, 2 x n x 4096 for random-p
     (6.5 MB at n = 100) and n x 4096 for fixed-p; each block of 4096 trials
     draws into it from its own PCG64 stream and reduces over the sets along
-    axis 0, in place.  Reports differ in their bytes, not in the law sampled,
-    from those of versions before these streams and this layout.
+    axis 0, in place.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")

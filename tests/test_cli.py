@@ -267,6 +267,20 @@ def test_short_table_row_is_numeric_failure(tmp_path, capsys):
     assert err.startswith("error:") and "d.csv, line 3" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("moments",),
+    ("sum", "--n", "10", "--kmin", "2", "--tol", "1"),
+    ("game", "simulate", "--n-sets", "3", "--trials", "10"),
+], ids=["moments", "sum", "game-simulate"])
+def test_table_with_nan_is_numeric_failure(tmp_path, capsys, argv):
+    # past the mass check, a NaN would print null moments and sum to the 2^22 cap
+    table = tmp_path / "nan.csv"
+    table.write_text("x,f\n0,1.5\n0.5,nan\n1,0.5\n")
+    code, out, err = run_cli(capsys, *argv, "--dist", "tabulated", "--table", str(table))
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 # a valid invocation of each subcommand, and the flags it does not read
 _BARE_ARGV = {
     "zeta": ["zeta", "--dist", "riemann", "--s-eval", "2"],

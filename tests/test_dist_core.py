@@ -118,10 +118,13 @@ def test_non_integer_beta_moments_match_mpmath():
         assert _beta_midpoint(beta)[1][0] == pytest.approx(_beta_gap(beta)(J) * (J + b) ** 2, rel=1e-10)
 
 
-def _random_table(nodes, seed):
+def _random_table(nodes, seed, zero_end=False):
     rng = np.random.default_rng(seed)
     x = np.concatenate([[0.0], np.sort(rng.random(nodes - 2)), [1.0]])
-    return TabulatedDensity(x, rng.random(nodes) + 0.01, normalize=True)
+    f = rng.random(nodes) + 0.01
+    if zero_end:  # f[-1] = 0: the edge of a beta = 1 density
+        f[-1] = 0.0
+    return TabulatedDensity(x, f, normalize=True)
 
 
 def _sine_table(nodes):
@@ -206,8 +209,7 @@ def test_collinear_node_adds_nothing():
 
 
 def test_large_table_moments_match_node_exact():
-    # 2001 nodes: the k the n = 1e4, tol 1e-8 sum reaches (J = 50,566), where
-    # every node's terms were once a row of 2001 segment integrals per k
+    # 2001 nodes, k past the J = 20,952 that the n = 1e4, tol 1e-8 sum reaches
     dist = _sine_table(2001)
     k = np.array([1, 2, 5, 17, 100, 500, 2000, 5000, 12_000, 25_000, 40_000, 50_566.0])
     got = dist.moments(k)
@@ -333,6 +335,29 @@ def test_tail_law_at_ten_thousand():
         pl = moment_sequence(dist).power_law
         scaled = j**pl.alpha * dist.moments([j])[0]
         assert abs(scaled - pl.L) <= 0.01 * pl.L
+
+
+@pytest.mark.parametrize("x, f", [
+    ([0.0, 0.5, 1.0], [1.5, math.nan, 0.5]),
+    ([0.0, math.nan, 1.0], [1.5, 1.0, 0.5]),
+    ([0.0, 0.5, 1.0], [1.5, math.inf, 0.5]),
+    ([0.0, 0.5, math.inf], [1.5, 1.0, 0.5]),
+], ids=["nan-f", "nan-x", "inf-f", "inf-x"])
+@pytest.mark.parametrize("normalize", [False, True])
+def test_table_rejects_non_finite_values(x, f, normalize):
+    # a NaN mass compares False with any tolerance, so the mass check alone passes it
+    with pytest.raises(ValueError, match="finite"):
+        TabulatedDensity(x, f, normalize=normalize)
+
+
+def test_spot_check_rejects_nan_moments():
+    class NanAt4(Uniform):
+        def moments(self, k):
+            m = super().moments(k)
+            return np.where(np.asarray(k) == 4, math.nan, m)
+
+    with pytest.raises(InvalidTail):
+        moment_sequence(NanAt4())
 
 
 def test_tail_model_validation():
@@ -656,11 +681,28 @@ def _near_one_table():
     return TabulatedDensity(d.x, d.f, edge=(d.f[-1], 0.0))
 
 
+def _sine_table_open_end(nodes):
+    # the f[-1] > 0 twin of _sine_table: (1.5 - x) (1 + 0.3 sin 7x)
+    x = np.linspace(0.0, 1.0, nodes)
+    return TabulatedDensity(x, (1.5 - x) * (1.0 + 0.3 * np.sin(7.0 * x)), normalize=True)
+
+
 @pytest.mark.parametrize("make", [
     lambda: TabulatedDensity([0.0, 1.0], [1.5, 0.5], edge=(0.5, 0.0)),
     _tab21_with_edge,
     _near_one_table,
-], ids=["tab2", "tab21", "x2-0.999"])
+    lambda: _random_table(3, 6),
+    lambda: _random_table(5, 11),
+    lambda: _random_table(5, 6, zero_end=True),
+    lambda: _random_table(8, 6, zero_end=True),
+    # A = -1.7 < 0 on the last segment
+    lambda: TabulatedDensity([0.0, 0.5, 1.0], [0.1, 0.1, 1.9], normalize=True),
+    # f[-1] = 1e-4: shift = 1 + B/L is about -2.1e4
+    lambda: TabulatedDensity([0.0, 0.3, 1.0], [1.2, 1.5, 1e-4], normalize=True),
+    lambda: _sine_table(2001),
+    lambda: _sine_table_open_end(2001),
+], ids=["tab2", "tab21", "x2-0.999", "random3", "random5", "random5-zero-end",
+        "random8-zero-end", "negative-A", "tiny-end", "sine2001", "sine2001-open-end"])
 def test_table_gap_bounds_exact_moments(make):
     dist = make()
     form = moment_sequence(dist).power_law
@@ -669,13 +711,22 @@ def test_table_gap_bounds_exact_moments(make):
     assert gaps == sorted(gaps, reverse=True)
     with mpmath.workdps(40):
         for J, gap in zip(grid, gaps):
+            # the gap is reached at j = J + 1, where the pole's q/(1-q) is sharp
+            # and the rounding of L and shift shows
             for j in (J + 1, 2 * J, 10 * J):
                 m = _table_moment(dist, j)
                 eps = mpmath.log(m / form.L) + form.alpha * mpmath.log(j + form.shift)
                 assert abs(eps) <= gap
-    assert gaps[-1] < 1e-3
-    # with x[-2] = 0.999 the other segments still outweigh the form at J = 1024
-    assert (gaps[0] == math.inf) == (dist.x[-2] > 0.99)
+    tiny_end = 0.0 < dist.f[-1] < 1e-3  # shift = 1 + B/L is near -1/f[-1]
+    # the form holds by J = 1e5, and from J = 1024 unless x[-2] is near 1
+    assert gaps[-1] < (0.1 if tiny_end else 1e-3)
+    assert (gaps[0] < 1e-3) == (dist.x[-2] < 0.99 and not tiny_end)
+
+
+def test_table_gap_bounds_nothing_while_the_nodes_outweigh_the_pole():
+    # x[-2] = 0.999: at J = 1024 the node part, up to D x[-2]^(j+2), is still
+    # about the size of the pole's f[-1] (j+1) + A
+    assert not moment_sequence(_near_one_table()).power_law.gap(1024) < 1.0
 
 
 def test_table_edge_must_be_last_segment():
@@ -711,6 +762,13 @@ def test_csv_roundtrip(tmp_path):
         load_tabulated_csv(str(path), edge=(0.5, 0.0))
     with pytest.raises(TypeError):
         load_tabulated_csv(str(path), (0.5, 0.0))
+
+
+def test_csv_rejects_nan(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("x,f\n0,1.5\n0.5,nan\n1,0.5\n")
+    with pytest.raises(ValueError, match="finite"):
+        load_tabulated_csv(str(path))
 
 
 def test_csv_rejects_bad_header(tmp_path):

@@ -102,13 +102,32 @@ def test_uniform_diverges_at_one():
         moment_zeta(moment_sequence(Uniform()), 1.0)
 
 
-@pytest.mark.parametrize(
-    "a,s", [(2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 3.0), (1.5, 2.0), (1.0, 2.5)]
-)
+@pytest.mark.parametrize("a,s", [
+    (2.0, 1.0), (2.0, 2.0), (3.0, 1.0), (1.0, 3.0), (1.5, 2.0), (1.0, 2.5),
+    # a s is 1 + 2e-10 to 1 + 0.02: the tail's x^(1-p)/(p-1) takes p - 1 from
+    # the exact product; a rounded p = a s misses by up to 4.7e7 bounds there
+    (3.0, 0.34), (3.0, 0.3333334), (3.0, 0.3333333334), (0.55, 1.8181819), (1.3, 0.7692308),
+])
 def test_cross_oracle_against_direct_series(a, s):
-    # moment_zeta of the abstract j^(-a) sequence at s equals zeta(a s)
+    # moment_zeta of the abstract j^(-a) sequence at s equals zeta(a s), the
+    # product taken exactly
     res = moment_zeta(moment_sequence(PowerMoments(a)), s)
-    assert abs(res.value - float(mpmath.zeta(a * s))) <= res.tail_bound + 1e-15
+    with mpmath.workdps(40):
+        ref = mpmath.zeta(mpmath.mpf(a) * mpmath.mpf(s))
+    assert abs(res.value - ref) <= res.tail_bound
+
+
+def test_beta_zeta_near_the_abscissa_within_bound():
+    # m_j = 6/((j+1)(j+2)(j+3)) = 6 w^-3/(1 - w^-2) with w = j + 2, so
+    # Z(s) = 6^s sum_i C(s+i-1, i) zeta(3s + 2i, 3); the terms fall 9-fold
+    s = 0.3333334
+    res = moment_zeta(moment_sequence(BetaEdge(beta=2.0)), s, tol=1e-6)
+    with mpmath.workdps(40):
+        S = mpmath.mpf(s)
+        ref = 6**S * mpmath.fsum(mpmath.binomial(S + i - 1, i) * mpmath.zeta(3 * S + 2 * i, 3)
+                                 for i in range(40))
+    assert abs(ref - mpmath.mpf("9085602.4215211794")) < 1e-9
+    assert abs(res.value - ref) <= res.tail_bound
 
 
 def test_generic_path_refinement_property():
